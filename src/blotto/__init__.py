@@ -22,16 +22,8 @@ from .game_core import (
     total_utility,
     utility_per_battlefield,
 )
-from .best_response import BestResponseResult, best_response, follower_marginal_utility, support_prefix
-from .commitment import (
-    CaseCoefficients,
-    CommitmentSolution,
-    optimal_commitment,
-    solve_case1,
-    solve_case2_full_support,
-    solve_case2_partial_support,
-    threshold_allocation_outside_support,
-)
+from .best_response import BestResponseResult, best_response, follower_marginal_utility
+from .commitment import CommitmentSolution, optimal_commitment
 from .nash import NashSolution, nash_poly, solve_nash
 from .analysis import (
     AdvantageBounds,
@@ -52,7 +44,6 @@ __all__ = [
     "Allocation",
     "BattlefieldOrdering",
     "BestResponseResult",
-    "CaseCoefficients",
     "CoincidenceReport",
     "CommitmentSolution",
     "ComparisonReport",
@@ -78,12 +69,8 @@ __all__ = [
     "optimal_commitment",
     "oracle_best_response",
     "oracle_commitment",
-    "solve_case1",
-    "solve_case2_full_support",
-    "solve_case2_partial_support",
     "solve_nash",
     "split_battlefield",
-    "threshold_allocation_outside_support",
     "total_utility",
     "utility_per_battlefield",
     "write_sweep_csv",

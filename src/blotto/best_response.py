@@ -10,6 +10,10 @@ prefix whose last member still beats the prefix water level
 and fill x_bj = sqrt(x_aj * v_bj) / sqrt(lambda_{k*}) - x_aj on that
 prefix, zero elsewhere.  The water level equals the follower's marginal
 utility on every supported battlefield.
+
+_water_fill is the one implementation of this rule, for a whole array of
+leader allocations: best_response passes one row, the grid oracle
+(oracle.batch_leader_utilities) every grid point.
 """
 
 from __future__ import annotations
@@ -70,37 +74,52 @@ def _require_positive_leader(leader_alloc: Allocation) -> None:
         )
 
 
+def _water_fill(xa: np.ndarray, vb: np.ndarray, budget_b: float):
+    """Water filling for each row of an (m, n) array of positive leader
+    allocations.
+
+    Returns (order, k, filled, root_sum, spend), one entry or row per
+    allocation: the stable sort by descending vb / xa, the last support
+    position k in that order (-1 if none), the unclamped follower fill in
+    sorted order (zero past k), and the prefix sums sum sqrt(x_al * v_bl)
+    and budget_b + sum x_al at k, whose squared ratio is the water level.
+    """
+    m, n = xa.shape
+    rows = np.arange(m)
+    order = np.argsort(-(vb / xa), axis=1, kind="stable")
+    xa_s = xa[rows[:, None], order]
+    vb_s = vb[order]
+
+    roots = np.sqrt(xa_s * vb_s)
+    sum_roots = np.cumsum(roots, axis=1)
+    sum_xa = np.cumsum(xa_s, axis=1)
+    satisfied = vb_s / xa_s > (sum_roots / (budget_b + sum_xa)) ** 2
+    k = n - 1 - np.argmax(satisfied[:, ::-1], axis=1)  # last satisfied position
+    k[~satisfied[rows, k]] = -1
+
+    root_sum = sum_roots[rows, k]
+    spend = budget_b + sum_xa[rows, k]
+    filled = roots * (spend / root_sum)[:, None] - xa_s
+    filled[np.arange(n) > k[:, None]] = 0.0
+    return order, k, filled, root_sum, spend
+
+
 def best_response(instance: GameInstance, leader_alloc: Allocation) -> BestResponseResult:
     """Unique follower best response to a strictly positive leader allocation."""
     _check_alloc(instance, leader_alloc, "a")
     _require_positive_leader(leader_alloc)
 
-    xa = leader_alloc.amounts
-    vb = instance.values_b
     budget_b = instance.budget_b
-
-    ratios = vb / xa
-    order = np.argsort(-ratios, kind="stable")
-    xa_s = xa[order]
-    vb_s = vb[order]
-    ratio_s = ratios[order]
-
-    roots = np.sqrt(xa_s * vb_s)
-    sum_roots = np.cumsum(roots)
-    sum_xa = np.cumsum(xa_s)
-    levels = (sum_roots / (budget_b + sum_xa)) ** 2
-
-    satisfied = np.nonzero(ratio_s > levels)[0]
-    if satisfied.size == 0:  # impossible while budget_b > 0
+    order, k, filled, root_sum, spend = _water_fill(
+        leader_alloc.amounts[None, :], instance.values_b, budget_b
+    )
+    order, k, filled = order[0], int(k[0]), filled[0]
+    if k < 0:  # impossible while budget_b > 0
         raise SolverInvariantError(
-            f"empty best-response support; ratios={ratio_s!r} levels={levels!r}"
+            f"empty best-response support for leader allocation "
+            f"{leader_alloc.amounts!r}"
         )
-    k = int(satisfied[-1])  # last prefix position in the support
-    scale = (budget_b + sum_xa[k]) / sum_roots[k]
-    water_level = float((sum_roots[k] / (budget_b + sum_xa[k])) ** 2)
-
-    filled = np.zeros(instance.n)
-    filled[: k + 1] = roots[: k + 1] * scale - xa_s[: k + 1]
+    water_level = float((root_sum[0] / spend[0]) ** 2)
 
     # Boundary noise guard: zero out sub-floor entries, keep the sum exact.
     floor = SUPPORT_FLOOR_RTOL * budget_b
@@ -113,56 +132,10 @@ def best_response(instance: GameInstance, leader_alloc: Allocation) -> BestRespo
 
     amounts = np.empty(instance.n)
     amounts[order] = filled
-    support = tuple(int(order[i]) for i in range(k + 1) if filled[i] > 0)
+    support = tuple(order[: k + 1][filled[: k + 1] > 0].tolist())
 
     return BestResponseResult(
         allocation=Allocation(amounts, budget_b),
         support=support,
         water_level=water_level,
     )
-
-
-def support_prefix(instance: GameInstance, leader_alloc: Allocation) -> tuple[int, ...]:
-    """Indices of the follower's support, descending by values_b[j] / x_a[j]."""
-    return best_response(instance, leader_alloc).support
-
-
-def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) -> np.ndarray:
-    """Leader utility of each row of leader_points after the follower replies.
-
-    Vectorized version of best_response for grid searches: every row must
-    be a strictly positive allocation of budget_a.  Returns one utility per
-    row.
-    """
-    pts = np.asarray(leader_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != instance.n:
-        raise InputError("leader_points must be an (m, n) array")
-    if np.any(pts <= 0):
-        raise PreconditionError("all grid leader allocations must be positive")
-
-    vb = instance.values_b
-    va = instance.values_a
-    budget_b = instance.budget_b
-
-    order = np.argsort(-(vb / pts), axis=1, kind="stable")
-    xa_s = np.take_along_axis(pts, order, axis=1)
-    vb_s = vb[order]
-    va_s = va[order]
-    ratio_s = vb_s / xa_s
-
-    roots = np.sqrt(xa_s * vb_s)
-    sum_roots = np.cumsum(roots, axis=1)
-    sum_xa = np.cumsum(xa_s, axis=1)
-    levels = (sum_roots / (budget_b + sum_xa)) ** 2
-
-    satisfied = ratio_s > levels
-    n = instance.n
-    k = n - 1 - np.argmax(satisfied[:, ::-1], axis=1)  # last satisfied prefix position
-    rows = np.arange(pts.shape[0])
-    scale = (budget_b + sum_xa[rows, k]) / sum_roots[rows, k]
-
-    in_prefix = np.arange(n)[None, :] <= k[:, None]
-    xb_s = np.where(in_prefix, roots * scale[:, None] - xa_s, 0.0)
-    np.clip(xb_s, 0.0, None, out=xb_s)
-
-    return (xa_s * va_s / (xa_s + xb_s)).sum(axis=1)

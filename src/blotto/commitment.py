@@ -14,8 +14,11 @@ falls into one of three cases:
   the y-quadratic (the budget identity picks y) and the off-support
   battlefields parked exactly at the follower's indifference threshold.
 
-Every candidate is validated by round-tripping through best_response; the
-best valid candidate wins.
+Every candidate goes through _assemble_candidate once: a case solver
+returns None when its spend misses the budget identity by more than
+BUDGET_SUM_RTOL, and otherwise one round trip through best_response gives
+the candidate's utilities and follower support.  optimal_commitment drops
+a candidate whose support is not K; the best remaining one wins.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from .best_response import best_response
 from .game_core import (
+    BUDGET_SUM_RTOL,
     Allocation,
     GameInstance,
     InputError,
@@ -62,9 +66,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class CommitmentSolution:
     """Optimal (or candidate) leader commitment and its follower reply.
 
-    alpha is the scalar parameter tying the support profile together
-    (absent for CASE_1); y is the squared proportionality constant of the
-    CASE_2_2 reconstruction (absent otherwise).
+    support is the follower's reply support, as sorted indices; a candidate
+    for support K is valid only when it equals K.  alpha is the scalar
+    parameter tying the support profile together (absent for CASE_1); y is
+    the squared proportionality constant of the CASE_2_2 reconstruction
+    (absent otherwise).
     """
 
     allocation: Allocation
@@ -160,23 +166,30 @@ def threshold_allocation_outside_support(
     vb = instance.values_b
     denom = float(np.sqrt(spend * vb[idx]).sum()) ** 2
     scale = (instance.budget_b + float(spend.sum())) ** 2 / denom
-    outside = [j for j in range(instance.n) if j not in set(idx)]
-    return {j: float(vb[j]) * scale for j in outside}
+    outside = np.ones(instance.n, dtype=bool)
+    outside[idx] = False
+    out_idx = np.flatnonzero(outside)
+    return dict(zip(out_idx.tolist(), (vb[out_idx] * scale).tolist()))
 
 
 def _assemble_candidate(
     instance: GameInstance,
-    K: Sequence[int],
     amounts: np.ndarray,
     case_tag: str,
     alpha: float | None,
     y: float | None,
-) -> CommitmentSolution:
-    alloc = Allocation(amounts, instance.budget_a)
+) -> CommitmentSolution | None:
+    """None when the spend misses budget_a by more than BUDGET_SUM_RTOL,
+    else the candidate, with its support and utilities from one
+    best-response round trip."""
+    x_a = instance.budget_a
+    if abs(float(amounts.sum()) - x_a) > BUDGET_SUM_RTOL * x_a:
+        return None
+    alloc = Allocation(amounts, x_a)
     reply = best_response(instance, alloc)
     return CommitmentSolution(
         allocation=alloc,
-        support=tuple(sorted(int(j) for j in K)),
+        support=tuple(sorted(reply.support)),
         case_tag=case_tag,
         alpha=alpha,
         y=y,
@@ -190,8 +203,8 @@ def _fill_outside(
 ) -> np.ndarray:
     amounts = np.zeros(instance.n)
     amounts[idx] = on_K
-    for j, x in threshold_allocation_outside_support(instance, idx, on_K).items():
-        amounts[j] = x
+    outside = threshold_allocation_outside_support(instance, idx, on_K)
+    amounts[list(outside)] = list(outside.values())
     return amounts
 
 
@@ -222,7 +235,8 @@ def solve_case1(instance: GameInstance, K: Sequence[int]) -> CommitmentSolution 
     The total spend on K is the larger root of the budget quadratic,
     spread proportionally to values_a inside K; outside battlefields sit
     at the indifference threshold.  Returns None when the leader's budget
-    cannot afford the thresholds (negative discriminant or negative root).
+    cannot afford the thresholds (negative discriminant or negative root)
+    or the candidate misses the budget identity.
     """
     idx = _check_support(instance, K)
     if len(idx) > 1 and not _ratios_all_equal(instance, idx):
@@ -250,15 +264,15 @@ def solve_case1(instance: GameInstance, K: Sequence[int]) -> CommitmentSolution 
 
     on_K = x_aK * instance.values_a[idx] / co.v_aK
     amounts = _fill_outside(instance, idx, on_K)
-    return _assemble_candidate(instance, idx, amounts, CASE_1, None, None)
+    return _assemble_candidate(instance, amounts, CASE_1, None, None)
 
 
-def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution:
+def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution | None:
     """Full-support candidate with at least two distinct ratios.
 
     alpha = -sqrt(c_K / v_bK) in closed form; the commitment is the
     square-weight profile (v_aj/sqrt(v_bj) - alpha*sqrt(v_bj))^2 normalized
-    to budget_a.
+    to budget_a.  Returns None when the candidate misses the budget identity.
     """
     if _ratios_all_equal(instance, list(range(instance.n))):
         raise PreconditionError(
@@ -271,9 +285,7 @@ def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution:
     alpha = -math.sqrt(c_K / v_bK)
     weights = (va / np.sqrt(vb) - alpha * np.sqrt(vb)) ** 2
     amounts = weights / weights.sum() * instance.budget_a
-    return _assemble_candidate(
-        instance, range(instance.n), amounts, CASE_2_1, alpha, None
-    )
+    return _assemble_candidate(instance, amounts, CASE_2_1, alpha, None)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -328,7 +340,8 @@ def solve_case2_partial_support(
     Maximizes the reduced objective u_hat(alpha) over the feasible alpha
     set {alpha below every ratio in K, or above every ratio in K} ∩
     {phi2(alpha) >= 0} ∩ {y(alpha) > 0}, then rebuilds the commitment from
-    the winning alpha.  Returns None when the feasible set is empty.
+    the winning alpha.  Returns None when the feasible set is empty or the
+    candidate misses the budget identity.
     """
     idx = _check_support(instance, K)
     if len(idx) >= instance.n:
@@ -338,7 +351,7 @@ def solve_case2_partial_support(
             "solve_case2_partial_support requires two distinct ratios in K"
         )
     co = CaseCoefficients.from_instance(instance, idx)
-    x_a, x_b = instance.budget_a, instance.budget_b
+    x_b = instance.budget_b
     va, vb = instance.values_a, instance.values_b
     ratios_K = va[idx] / vb[idx]
     rho_lo, rho_hi = float(ratios_K.min()), float(ratios_K.max())
@@ -401,9 +414,7 @@ def solve_case2_partial_support(
         return None
     on_K = (va[idx] / np.sqrt(vb[idx]) - best_alpha * np.sqrt(vb[idx])) ** 2 / y
     amounts = _fill_outside(instance, idx, on_K)
-    if abs(amounts.sum() - x_a) > 1e-8 * x_a:
-        return None  # budget identity failed: alpha landed outside validity
-    return _assemble_candidate(instance, idx, amounts, CASE_2_2, float(best_alpha), y)
+    return _assemble_candidate(instance, amounts, CASE_2_2, float(best_alpha), y)
 
 
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
@@ -434,9 +445,8 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
         if cand is None:
             notes.append(f"K=[0..{k - 1}]: infeasible")
             continue
-        realized = set(best_response(canon, cand.allocation).support)
-        if realized != set(idx):
-            notes.append(f"K=[0..{k - 1}]: reply support {sorted(realized)}")
+        if cand.support != tuple(idx):
+            notes.append(f"K=[0..{k - 1}]: reply support {list(cand.support)}")
             continue
         if best is None:
             best, best_k = cand, k

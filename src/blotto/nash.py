@@ -5,7 +5,9 @@ polynomial built from the value ratios rho_h = v_bh / v_ah and the budget
 ratio r = x_a / x_b; both players' allocations then follow in closed form.
 The root always lies in [min_h rho_h * r, max_h rho_h * r] and the
 polynomial changes sign across that interval, so a scan plus bracketed
-root refinement finds it.
+root refinement finds it.  A root whose reconstruction is not a valid pair
+of allocations, or not a mutual best response, is dropped; when no root
+survives, solve_nash raises SolverInvariantError.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def solve_nash(instance: GameInstance) -> NashSolution:
 
     Scans the root interval in SCAN_CELLS cells, refines every sign change
     with Brent's method, keeps the roots whose reconstructed profiles are
-    mutual best responses, and among those returns the one with the
-    highest leader utility.
+    valid allocations and mutual best responses, and among those returns
+    the one with the highest leader utility.  Raises SolverInvariantError
+    when no root survives.
     """
     rho = instance.values_b / instance.values_a
     r = instance.budget_a / instance.budget_b
@@ -115,16 +118,16 @@ def solve_nash(instance: GameInstance) -> NashSolution:
         roots = [float(g) for g in grid[vals == 0]]
         signs = np.sign(vals)
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            roots.append(
-                float(
-                    brentq(
-                        lambda m: nash_poly(instance, m),
-                        grid[i],
-                        grid[i + 1],
-                        rtol=ROOT_RTOL,
-                    )
+            try:
+                root = brentq(
+                    lambda m: nash_poly(instance, m),
+                    grid[i],
+                    grid[i + 1],
+                    rtol=ROOT_RTOL,
                 )
-            )
+            except ValueError:  # f is NaN inside the cell: no usable root
+                continue
+            roots.append(float(root))
         if not roots:
             sampled = ", ".join(f"f({g:.6g})={v:.3g}" for g, v in zip(grid[::512], vals[::512]))
             raise SolverInvariantError(
@@ -134,9 +137,12 @@ def solve_nash(instance: GameInstance) -> NashSolution:
 
     candidates = []
     for mu in roots:
-        alloc_a, alloc_b = _reconstruct(instance, mu)
-        if _mutual_br(instance, alloc_a, alloc_b):
-            candidates.append((mu, alloc_a, alloc_b))
+        try:
+            alloc_a, alloc_b = _reconstruct(instance, mu)
+            if _mutual_br(instance, alloc_a, alloc_b):
+                candidates.append((mu, alloc_a, alloc_b))
+        except InputError:  # not a valid, strictly positive allocation pair
+            continue
     if not candidates:
         raise SolverInvariantError(
             f"no root of f reconstructs a mutual best response; roots={roots}"

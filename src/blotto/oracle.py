@@ -4,7 +4,8 @@ oracle_best_response searches the follower's discrete simplex directly on
 raw per-battlefield payoffs (no water-filling formulas involved), so it is
 an independent check of best_response.  oracle_commitment grids the leader
 simplex and replies with the closed-form best response at every grid
-point, checking the commitment solver end to end.
+point (batch_leader_utilities, on the same water-filling kernel as
+best_response), checking the commitment solver end to end.
 
 Both searches use integer compositions of the grid resolution.  When an
 exhaustive enumeration would exceed the point cap, the follower-side
@@ -23,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .best_response import batch_leader_utilities, best_response
+from .best_response import _water_fill, best_response
 from .game_core import (
     Allocation,
     GameInstance,
@@ -160,6 +161,24 @@ def _follower_stage_max(
     )
     payoffs = _follower_payoff_rows(instance, xa, step, counts)
     return counts[int(np.argmax(payoffs))]
+
+
+def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) -> np.ndarray:
+    """Leader utility of each row of leader_points after the follower replies.
+
+    Every row must be a strictly positive allocation of budget_a; the
+    follower's reply to each row comes from the same water-filling kernel
+    as best_response.  Returns one utility per row.
+    """
+    pts = np.asarray(leader_points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != instance.n:
+        raise InputError("leader_points must be an (m, n) array")
+    if np.any(pts <= 0):
+        raise PreconditionError("all grid leader allocations must be positive")
+    order, _, filled, _, _ = _water_fill(pts, instance.values_b, instance.budget_b)
+    xa_s = np.take_along_axis(pts, order, axis=1)
+    xb_s = np.clip(filled, 0.0, None)
+    return (xa_s * instance.values_a[order] / (xa_s + xb_s)).sum(axis=1)
 
 
 def oracle_best_response(

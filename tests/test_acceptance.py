@@ -28,9 +28,9 @@ from blotto import (
     oracle_commitment,
     solve_nash,
     split_battlefield,
-    threshold_allocation_outside_support,
     total_utility,
 )
+from blotto.commitment import threshold_allocation_outside_support
 from conftest import random_instance, random_positive_allocation, worked_example_instance
 
 

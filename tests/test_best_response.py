@@ -10,10 +10,9 @@ from blotto import (
     PreconditionError,
     best_response,
     follower_marginal_utility,
-    support_prefix,
-    threshold_allocation_outside_support,
     total_utility,
 )
+from blotto.commitment import threshold_allocation_outside_support
 from conftest import random_instance, random_positive_allocation, worked_example_instance
 
 
@@ -169,7 +168,7 @@ class TestSupportPrefix:
         leader = Allocation(
             inst.values_b / inst.values_b.sum() * inst.budget_a, inst.budget_a
         )
-        assert set(support_prefix(inst, leader)) == set(range(n))
+        assert set(best_response(inst, leader).support) == set(range(n))
 
     def test_flooded_battlefield_is_abandoned(self):
         inst = GameInstance(
@@ -183,17 +182,17 @@ class TestSupportPrefix:
         threshold = threshold_allocation_outside_support(inst, [1], np.array([1.0]))[0]
         assert threshold == pytest.approx(4.0)
         leader = Allocation(np.array([9.0, 1.0]), 10.0)
-        assert list(support_prefix(inst, leader)) == [1]
+        assert list(best_response(inst, leader).support) == [1]
 
     def test_worked_example_commitment_keeps_both(self):
         inst = worked_example_instance(0.5)
         leader = Allocation(np.array([0.136, 0.364]), 0.5)
-        assert set(support_prefix(inst, leader)) == {0, 1}
+        assert set(best_response(inst, leader).support) == {0, 1}
 
     def test_ordered_by_descending_ratio(self, rng):
         inst = random_instance(rng, 5)
         leader = random_positive_allocation(rng, 5, inst.budget_a)
-        prefix = support_prefix(inst, leader)
+        prefix = best_response(inst, leader).support
         ratios = inst.values_b / leader.amounts
         listed = [ratios[j] for j in prefix]
         assert all(x >= y for x, y in zip(listed, listed[1:]))
@@ -203,4 +202,4 @@ class TestSupportPrefix:
             n = int(rng.integers(1, 6))
             inst = random_instance(rng, n)
             leader = random_positive_allocation(rng, n, inst.budget_a)
-            assert len(support_prefix(inst, leader)) >= 1
+            assert len(best_response(inst, leader).support) >= 1

@@ -7,7 +7,6 @@ import pytest
 
 from blotto import (
     Allocation,
-    CaseCoefficients,
     GameInstance,
     GridSpec,
     InputError,
@@ -16,12 +15,15 @@ from blotto import (
     follower_marginal_utility,
     optimal_commitment,
     oracle_commitment,
+    solve_nash,
+    total_utility,
+)
+from blotto.commitment import (
+    CaseCoefficients,
     solve_case1,
     solve_case2_full_support,
     solve_case2_partial_support,
-    solve_nash,
     threshold_allocation_outside_support,
-    total_utility,
 )
 from conftest import random_instance, worked_example_instance
 
@@ -314,6 +316,25 @@ class TestOptimalCommitment:
                 assert sol.allocation.amounts[j] == pytest.approx(x, rel=1e-9)
                 checked += 1
         assert checked > 0
+
+    def test_budget_identity_miss_rejects_the_prefix(self):
+        # The 372nd instance drawn in `blotto gen` order from
+        # default_rng(210), with n cycling 16, 32, 64.  Its k=63 prefix
+        # candidate misses the budget identity by 1.4e-9 relative; it must
+        # be dropped like any other failed candidate, not raise.
+        rng = np.random.default_rng(210)
+        for i in range(372):
+            n = (16, 32, 64)[i % 3]
+            inst = random_instance(rng, n)
+        assert (inst.n, inst.budget_a, inst.budget_b) == (
+            64,
+            9.98609042122069,
+            0.11586370581912075,
+        )
+        sol = optimal_commitment(inst)
+        assert sol.case_tag == "CASE_2_2"
+        assert len(sol.support) == 3
+        assert sol.leader_utility == pytest.approx(296.933397, abs=1e-6)
 
     def test_partial_support_linear_relation_residual(self):
         sol = optimal_commitment(PARTIAL_SUPPORT_INSTANCE)

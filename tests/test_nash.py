@@ -1,16 +1,22 @@
 """Nash equilibrium of the simultaneous game: polynomial root + closed forms."""
 
+import json
+
 import numpy as np
 import pytest
 
 from blotto import (
     GameInstance,
     InputError,
+    SolverInvariantError,
     best_response,
+    instance_from_dict,
     nash_poly,
     solve_nash,
     total_utility,
 )
+from blotto import nash
+from blotto.cli import main
 from conftest import random_instance, worked_example_instance
 
 
@@ -168,3 +174,45 @@ class TestSolveNash:
             abs(root - sol.mu_star) <= 1e-9 * max(1.0, sol.mu_star)
             for root in sol.candidate_roots
         )
+
+
+class TestSolverFailures:
+    """Instances on which the product-form polynomial overflows.  solve_nash
+    may fail on them, but only with SolverInvariantError (CLI exit 3):
+    an overflowed root that rebuilds an invalid allocation is dropped, not
+    reported as an input error."""
+
+    @pytest.mark.parametrize("n, seed", [(64, 25), (128, 0), (256, 0)])
+    def test_mutual_best_response_or_invariant_error(self, tmp_path, n, seed):
+        path = tmp_path / "inst.json"
+        assert main(["gen", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
+        inst = instance_from_dict(json.loads(path.read_text()))
+        try:
+            sol = solve_nash(inst)
+        except SolverInvariantError:
+            pass
+        else:
+            reply_b = best_response(inst, sol.alloc_a).allocation.amounts
+            assert np.max(np.abs(reply_b - sol.alloc_b.amounts)) <= (
+                nash.MUTUAL_BR_RTOL * inst.budget_b
+            )
+            swapped = GameInstance(
+                budget_a=inst.budget_b,
+                budget_b=inst.budget_a,
+                values_a=inst.values_b,
+                values_b=inst.values_a,
+            )
+            reply_a = best_response(swapped, sol.alloc_b).allocation.amounts
+            assert np.max(np.abs(reply_a - sol.alloc_a.amounts)) <= (
+                nash.MUTUAL_BR_RTOL * inst.budget_a
+            )
+        out = tmp_path / "ne.json"
+        assert main(["solve-nash", "--instance", str(path), "--out", str(out)]) in (0, 3)
+
+    def test_root_refinement_error_means_no_root_in_the_cell(self, monkeypatch):
+        def nan_inside(*args, **kwargs):
+            raise ValueError("The function value at x=1 is NaN; solver cannot continue.")
+
+        monkeypatch.setattr(nash, "brentq", nan_inside)
+        with pytest.raises(SolverInvariantError):
+            solve_nash(worked_example_instance(0.5))

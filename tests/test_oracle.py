@@ -17,6 +17,7 @@ from blotto import (
     oracle_commitment,
     total_utility,
 )
+from blotto.oracle import batch_leader_utilities
 from conftest import random_instance, random_positive_allocation, worked_example_instance
 
 
@@ -112,6 +113,20 @@ class TestOracleBestResponse:
         a2, u2 = oracle_best_response(inst, leader, GridSpec(80, 1))
         np.testing.assert_array_equal(a1.amounts, a2.amounts)
         assert u1 == u2
+
+
+class TestBatchLeaderUtilities:
+    def test_each_row_matches_best_response(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            inst = random_instance(rng, n)
+            leaders = [random_positive_allocation(rng, n, inst.budget_a) for _ in range(5)]
+            utilities = batch_leader_utilities(inst, np.array([x.amounts for x in leaders]))
+            for leader, utility in zip(leaders, utilities):
+                reply = best_response(inst, leader)
+                assert utility == pytest.approx(
+                    total_utility(inst, "a", leader, reply.allocation), rel=1e-12
+                )
 
 
 class TestOracleCommitment:

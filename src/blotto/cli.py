@@ -14,7 +14,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +44,6 @@ VERIFY_COMMIT_ATOL = 1e-3
 VERIFY_SOUND_ATOL = 1e-9
 
 GEN_LOW, GEN_HIGH = 0.1, 10.0
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its inputs."""
-
-    command: str
-    instance_path: str | None = None
-    output_path: str | None = None
-    sweep_range: tuple[float, float, int] | None = None
-    seed: int = 0
-    grid: GridSpec | None = None
-    n: int | None = None
 
 
 def _load_instance(path: str) -> tuple[GameInstance, dict]:
@@ -115,11 +101,11 @@ def _nash_payload(solution) -> dict:
     }
 
 
-def _cmd_solve_br(config: RunConfig) -> int:
-    instance, raw = _load_instance(config.instance_path)
+def _cmd_solve_br(args: argparse.Namespace) -> int:
+    instance, raw = _load_instance(args.instance)
     if "commit_a" not in raw:
         raise InputError(
-            f"{config.instance_path}: solve-br needs a \"commit_a\" array "
+            f"{args.instance}: solve-br needs a \"commit_a\" array "
             f"(the leader allocation to respond to)"
         )
     commit = Allocation(np.asarray(raw["commit_a"], dtype=float), instance.budget_a)
@@ -130,25 +116,25 @@ def _cmd_solve_br(config: RunConfig) -> int:
             "support": list(result.support),
             "water_level": result.water_level,
         },
-        config.output_path,
+        args.out,
     )
     return EXIT_OK
 
 
-def _cmd_solve_commitment(config: RunConfig) -> int:
-    instance, _ = _load_instance(config.instance_path)
-    _dump(_commitment_payload(optimal_commitment(instance)), config.output_path)
+def _cmd_solve_commitment(args: argparse.Namespace) -> int:
+    instance, _ = _load_instance(args.instance)
+    _dump(_commitment_payload(optimal_commitment(instance)), args.out)
     return EXIT_OK
 
 
-def _cmd_solve_nash(config: RunConfig) -> int:
-    instance, _ = _load_instance(config.instance_path)
-    _dump(_nash_payload(solve_nash(instance)), config.output_path)
+def _cmd_solve_nash(args: argparse.Namespace) -> int:
+    instance, _ = _load_instance(args.instance)
+    _dump(_nash_payload(solve_nash(instance)), args.out)
     return EXIT_OK
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    instance, _ = _load_instance(config.instance_path)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    instance, _ = _load_instance(args.instance)
     report = compare_equilibria(instance)
     _dump(
         {
@@ -158,14 +144,14 @@ def _cmd_compare(config: RunConfig) -> int:
             "follower_ratio": report.follower_ratio,
             "cor1_upper": report.cor1_upper,
         },
-        config.output_path,
+        args.out,
     )
     return EXIT_OK
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    instance, _ = _load_instance(config.instance_path)
-    r_min, r_max, steps = config.sweep_range
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    instance, _ = _load_instance(args.instance)
+    r_min, r_max, steps = args.r_min, args.r_max, args.steps
     if r_min <= 0:
         raise InputError(f"--r-min must be positive, got {r_min}")
     if steps < 2:
@@ -175,13 +161,13 @@ def _cmd_sweep(config: RunConfig) -> int:
     rows = budget_sweep(instance, np.linspace(r_min, r_max, steps))
     buffer = io.StringIO()
     write_sweep_csv(rows, buffer)
-    _emit(buffer.getvalue(), config.output_path)
+    _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    instance, _ = _load_instance(config.instance_path)
-    grid = config.grid
+def _cmd_verify(args: argparse.Namespace) -> int:
+    grid = GridSpec(resolution=args.resolution, refinement_rounds=args.refine)
+    instance, _ = _load_instance(args.instance)
     failures = []
 
     se = optimal_commitment(instance)
@@ -226,23 +212,23 @@ def _cmd_verify(config: RunConfig) -> int:
         "solver_leader_utility": se.leader_utility,
         "grid_leader_utility": oracle_u,
     }
-    _dump(payload, config.output_path)
+    _dump(payload, args.out)
     if failures:
         raise SolverInvariantError("; ".join(failures))
     return EXIT_OK
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    if config.n is None or config.n < 1:
-        raise InputError(f"gen requires --n >= 1, got {config.n}")
-    rng = np.random.default_rng(config.seed)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise InputError(f"gen requires --n >= 1, got {args.n}")
+    rng = np.random.default_rng(args.seed)
     payload = {
         "budget_a": float(rng.uniform(GEN_LOW, GEN_HIGH)),
         "budget_b": float(rng.uniform(GEN_LOW, GEN_HIGH)),
-        "values_a": [float(x) for x in rng.uniform(GEN_LOW, GEN_HIGH, config.n)],
-        "values_b": [float(x) for x in rng.uniform(GEN_LOW, GEN_HIGH, config.n)],
+        "values_a": [float(x) for x in rng.uniform(GEN_LOW, GEN_HIGH, args.n)],
+        "values_b": [float(x) for x in rng.uniform(GEN_LOW, GEN_HIGH, args.n)],
     }
-    _dump(payload, config.output_path)
+    _dump(payload, args.out)
     return EXIT_OK
 
 
@@ -255,13 +241,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "gen": _cmd_gen,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; raises InputError / SolverInvariantError."""
-    if config.command not in _COMMANDS:
-        raise InputError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,28 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sweep_range = None
-    if args.command == "sweep":
-        sweep_range = (args.r_min, args.r_max, args.steps)
-    grid = None
-    if args.command == "verify":
-        grid = GridSpec(resolution=args.resolution, refinement_rounds=args.refine)
-    return RunConfig(
-        command=args.command,
-        instance_path=getattr(args, "instance", None),
-        output_path=args.out,
-        sweep_range=sweep_range,
-        seed=getattr(args, "seed", 0),
-        grid=grid,
-        n=getattr(args, "n", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,17 +5,18 @@ polynomial built from the value ratios rho_h = v_bh / v_ah and the budget
 ratio r = x_a / x_b; both players' allocations then follow in closed form.
 The root always lies in [min_h rho_h * r, max_h rho_h * r] and the
 polynomial changes sign across that interval, so a scan plus bracketed
-root refinement finds it.  A root whose reconstruction is not a valid pair
-of allocations, or not a mutual best response, is dropped; when no root
-survives, solve_nash raises SolverInvariantError.
+root refinement by Brent's method (brentq, below) finds it.  A root whose
+reconstruction is not a valid pair of allocations, or not a mutual best
+response, is dropped; when no root survives, solve_nash raises
+SolverInvariantError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .best_response import best_response
 from .game_core import (
@@ -32,12 +33,17 @@ SCAN_CELLS = 4096
 ROOT_RTOL = 1e-12
 # Mutual-best-response acceptance tolerance (relative to each budget).
 MUTUAL_BR_RTOL = 1e-6
+# brentq's absolute root tolerance and iteration cap (scipy's defaults).
+BRENT_XTOL = 2e-12
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
 class NashSolution:
-    """Equilibrium profile; candidate_roots records every root of f found
-    on the interval (more than one only in degenerate instances)."""
+    """Equilibrium profile; candidate_roots lists every root of f located on
+    the interval, including the ones dropped because they do not rebuild a
+    valid mutual best response (common at n >= 64, where the product form
+    overflows)."""
 
     mu_star: float
     alloc_a: Allocation
@@ -65,6 +71,58 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
     full = squares.prod(axis=1, keepdims=True)
     terms = instance.values_b[None, :] * (mus[:, None] - (rho * r)[None, :])
     return mus * (terms * full / squares).sum(axis=1)
+
+
+def brentq(f, xa: float, xb: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), ported
+    step for step from scipy.optimize.brentq (Zeros/brentq.c) so that every
+    root is bit-identical to scipy's.  An exact zero at an endpoint is the
+    root.  Raises ValueError when f(xa) and f(xb) have the same sign or f is
+    NaN at an iterate, SolverInvariantError after BRENT_MAXITER iterations."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # C order: xpre = xcur; xcur = xblk; xblk = xpre
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short interpolated step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets +-inf or NaN, which bisects too
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise SolverInvariantError(f"brentq did not converge on [{xa}, {xb}]")
 
 
 def _reconstruct(instance: GameInstance, mu: float) -> tuple[Allocation, Allocation]:
@@ -100,10 +158,11 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     """Find mu* and rebuild both equilibrium allocations.
 
     Scans the root interval in SCAN_CELLS cells, refines every sign change
-    with Brent's method, keeps the roots whose reconstructed profiles are
-    valid allocations and mutual best responses, and among those returns
-    the one with the highest leader utility.  Raises SolverInvariantError
-    when no root survives.
+    with brentq (the in-repo Brent method), keeps the roots whose
+    reconstructed profiles are valid allocations and mutual best responses,
+    and among those returns the one with the highest leader utility.
+    Raises SolverInvariantError when no root survives, or when brentq does
+    not converge in a cell.
     """
     rho = instance.values_b / instance.values_a
     r = instance.budget_a / instance.budget_b

@@ -6,9 +6,15 @@ failure), outputs against the library functions they wrap.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import blotto
 
 from blotto import (
     Allocation,
@@ -305,3 +311,25 @@ class TestRoundTrip:
             _, out1 = run_to_file(tmp_path, "one.json", cmd + ["--instance", path])
             _, out2 = run_to_file(tmp_path, "two.json", cmd + ["--instance", path])
             assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_blotto_runs_without_loading_scipy(tmp_path):
+    inst = str(tmp_path / "gen.json")
+    script = (
+        "import sys, blotto, blotto.cli\n"
+        f"inst = {inst!r}\n"
+        "assert blotto.cli.main(['gen', '--n', '8', '--seed', '1', '--out', inst]) == 0\n"
+        "for cmd in ('solve-nash', 'compare'):\n"
+        "    assert blotto.cli.main([cmd, '--instance', inst, '--out', inst + cmd]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(blotto.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Nash equilibrium of the simultaneous game: polynomial root + closed forms."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,4 +216,79 @@ class TestSolverFailures:
 
         monkeypatch.setattr(nash, "brentq", nan_inside)
         with pytest.raises(SolverInvariantError):
+            solve_nash(worked_example_instance(0.5))
+
+
+def root_outcome(root_finder, f, xa, xb):
+    """The root's exact bits, or the ValueError message."""
+    try:
+        return float(root_finder(f, xa, xb, rtol=nash.ROOT_RTOL)).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+CLOSED_FORMS = {
+    "zero at left endpoint": (lambda x: x * (x - 0.7), 0.0, 0.5),
+    "zero at right endpoint": (lambda x: x * (x - 0.7), -0.5, 0.0),
+    "same-sign endpoints": (lambda x: x * (x - 0.7), 1.0, 2.0),
+    "NaN inside the bracket": (lambda x: math.nan if abs(x - 0.3) < 0.05 else x - 0.3, 0.0, 1.0),
+    "NaN at an endpoint": (lambda x: math.nan if x > 0.9 else x - 0.3, 0.0, 1.0),
+    "cubic": (lambda x: x**3 - 2.0, 0.0, 3.0),
+    "steep tanh": (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    "step": (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+    # the extrapolation divisor underflows to 0: C divides to inf/NaN and bisects
+    "tiny cubic": (lambda x: 1e-300 * (x**3 - 2.0), 0.0, 3.0),
+    "plateau then ramp": (lambda x: max(0.0, x - 0.4) - 1e-3, 0.0, 1.0),
+    "cosine": (math.cos, 0.0, 3.0),
+}
+
+
+class TestBrentq:
+    """nash.brentq is a port of scipy.optimize.brentq and must match it bit
+    for bit, so that Nash reports do not depend on which one ran."""
+
+    @pytest.mark.parametrize("n", [3, 16, 64, 512])
+    def test_matches_scipy_on_the_cells_of_solve_nash(self, tmp_path, monkeypatch, n):
+        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+        port = nash.brentq
+        compared = []
+
+        def both(f, xa, xb, rtol):
+            ours = root_outcome(port, f, xa, xb)
+            assert ours == root_outcome(scipy_brentq, f, xa, xb), (xa, xb)
+            compared.append(ours)
+            return port(f, xa, xb, rtol)
+
+        monkeypatch.setattr(nash, "brentq", both)
+        for seed in range(4):
+            path = tmp_path / f"gen{seed}.json"
+            assert main(["gen", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
+            try:
+                solve_nash(instance_from_dict(json.loads(path.read_text())))
+            except SolverInvariantError:
+                pass
+        assert compared
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_matches_scipy_on_closed_forms(self, case):
+        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+        f, xa, xb = CLOSED_FORMS[case]
+        assert root_outcome(nash.brentq, f, xa, xb) == root_outcome(scipy_brentq, f, xa, xb)
+
+    def test_endpoint_zero_is_the_root(self):
+        f = CLOSED_FORMS["zero at left endpoint"][0]
+        assert nash.brentq(f, 0.0, 0.5, nash.ROOT_RTOL) == 0.0
+        assert nash.brentq(f, 0.7, 2.0, nash.ROOT_RTOL) == 0.7
+
+    @pytest.mark.parametrize("case", ["same-sign endpoints", "NaN inside the bracket"])
+    def test_raises_value_error(self, case):
+        f, xa, xb = CLOSED_FORMS[case]
+        with pytest.raises(ValueError):
+            nash.brentq(f, xa, xb, nash.ROOT_RTOL)
+
+    def test_iteration_cap_is_a_solver_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(nash, "BRENT_MAXITER", 1)
+        with pytest.raises(SolverInvariantError, match="did not converge"):
+            nash.brentq(lambda x: x**3 - 2.0, 0.0, 3.0, nash.ROOT_RTOL)
+        with pytest.raises(SolverInvariantError, match="did not converge"):
             solve_nash(worked_example_instance(0.5))

@@ -73,11 +73,11 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
     return mus * (terms * full / squares).sum(axis=1)
 
 
-def brentq(f, xa: float, xb: float, rtol: float) -> float:
+def brentq(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), ported
     step for step from scipy.optimize.brentq (Zeros/brentq.c) so that every
-    root is bit-identical to scipy's.  An exact zero at an endpoint is the
-    root.  Raises ValueError when f(xa) and f(xb) have the same sign or f is
+    root is bit-identical to scipy's called with xtol=BRENT_XTOL and
+    rtol=ROOT_RTOL.  An exact zero at an endpoint is the root.  Raises ValueError when f(xa) and f(xb) have the same sign or f is
     NaN at an iterate, SolverInvariantError after BRENT_MAXITER iterations."""
 
     def call(x: float) -> float:
@@ -100,7 +100,7 @@ def brentq(f, xa: float, xb: float, rtol: float) -> float:
         if abs(fblk) < abs(fcur):  # C order: xpre = xcur; xcur = xblk; xblk = xpre
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -178,12 +178,7 @@ def solve_nash(instance: GameInstance) -> NashSolution:
         signs = np.sign(vals)
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
             try:
-                root = brentq(
-                    lambda m: nash_poly(instance, m),
-                    grid[i],
-                    grid[i + 1],
-                    rtol=ROOT_RTOL,
-                )
+                root = brentq(lambda m: nash_poly(instance, m), grid[i], grid[i + 1])
             except ValueError:  # f is NaN inside the cell: no usable root
                 continue
             roots.append(float(root))

@@ -219,10 +219,10 @@ class TestSolverFailures:
             solve_nash(worked_example_instance(0.5))
 
 
-def root_outcome(root_finder, f, xa, xb):
+def root_outcome(root_finder, f, xa, xb, **kwargs):
     """The root's exact bits, or the ValueError message."""
     try:
-        return float(root_finder(f, xa, xb, rtol=nash.ROOT_RTOL)).hex()
+        return float(root_finder(f, xa, xb, **kwargs)).hex()
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -253,11 +253,11 @@ class TestBrentq:
         port = nash.brentq
         compared = []
 
-        def both(f, xa, xb, rtol):
+        def both(f, xa, xb):
             ours = root_outcome(port, f, xa, xb)
-            assert ours == root_outcome(scipy_brentq, f, xa, xb), (xa, xb)
+            assert ours == root_outcome(scipy_brentq, f, xa, xb, rtol=nash.ROOT_RTOL), (xa, xb)
             compared.append(ours)
-            return port(f, xa, xb, rtol)
+            return port(f, xa, xb)
 
         monkeypatch.setattr(nash, "brentq", both)
         for seed in range(4):
@@ -273,22 +273,22 @@ class TestBrentq:
     def test_matches_scipy_on_closed_forms(self, case):
         scipy_brentq = pytest.importorskip("scipy.optimize").brentq
         f, xa, xb = CLOSED_FORMS[case]
-        assert root_outcome(nash.brentq, f, xa, xb) == root_outcome(scipy_brentq, f, xa, xb)
+        assert root_outcome(nash.brentq, f, xa, xb) == root_outcome(scipy_brentq, f, xa, xb, rtol=nash.ROOT_RTOL)
 
     def test_endpoint_zero_is_the_root(self):
         f = CLOSED_FORMS["zero at left endpoint"][0]
-        assert nash.brentq(f, 0.0, 0.5, nash.ROOT_RTOL) == 0.0
-        assert nash.brentq(f, 0.7, 2.0, nash.ROOT_RTOL) == 0.7
+        assert nash.brentq(f, 0.0, 0.5) == 0.0
+        assert nash.brentq(f, 0.7, 2.0) == 0.7
 
     @pytest.mark.parametrize("case", ["same-sign endpoints", "NaN inside the bracket"])
     def test_raises_value_error(self, case):
         f, xa, xb = CLOSED_FORMS[case]
         with pytest.raises(ValueError):
-            nash.brentq(f, xa, xb, nash.ROOT_RTOL)
+            nash.brentq(f, xa, xb)
 
     def test_iteration_cap_is_a_solver_invariant_error(self, monkeypatch):
         monkeypatch.setattr(nash, "BRENT_MAXITER", 1)
         with pytest.raises(SolverInvariantError, match="did not converge"):
-            nash.brentq(lambda x: x**3 - 2.0, 0.0, 3.0, nash.ROOT_RTOL)
+            nash.brentq(lambda x: x**3 - 2.0, 0.0, 3.0)
         with pytest.raises(SolverInvariantError, match="did not converge"):
             solve_nash(worked_example_instance(0.5))

@@ -13,12 +13,20 @@ falls into one of three cases:
   maximization over alpha, with the spend profile recovered from alpha via
   the y-quadratic (the budget identity picks y) and the off-support
   battlefields parked exactly at the follower's indifference threshold.
+  A SCAN_SAMPLES-point scan of the reduced objective u_hat(alpha) runs as
+  one numpy array call; golden-section refinement around the best sample
+  then evaluates the same formula on Python floats.  alpha**2 rounds
+  differently on the two (an array squares, a float calls C pow), which
+  is why the refinement is not batched into arrays.
 
 Every candidate goes through _assemble_candidate once: a case solver
 returns None when its spend misses the budget identity by more than
 BUDGET_SUM_RTOL, and otherwise one round trip through best_response gives
 the candidate's utilities and follower support.  optimal_commitment drops
-a candidate whose support is not K; the best remaining one wins.
+a candidate whose support is not K; the best remaining one wins.  It also
+drops, with a note, a candidate whose numbers break down at extreme
+scales (a float overflow, or a spend that is not a valid allocation), and
+raises SolverInvariantError when no candidate is left.
 """
 
 from __future__ import annotations
@@ -289,12 +297,27 @@ def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution | Non
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of fn on [lo, hi] to bracket width tol."""
+    """Golden-section maximization of fn on [lo, hi] to bracket width tol.
+
+    This is the refinement stage of solve_case2_partial_support.  Its scan
+    evaluates u_hat on a numpy array; here the bracket, every probe and
+    every value of fn are Python floats, where alpha**2 calls C pow (the
+    array squares as alpha*alpha instead, which can differ in the last bit).
+
+    Far from zero one float spacing exceeds tol (from |x| = 2**19 on for
+    tol = 1e-10); the bracket then stops narrowing and cycles through the
+    same states forever.  So after any step that leaves the bracket no
+    narrower the state is recorded, and the search ends when such a state
+    repeats.  A search that ends on width never repeats a state, so its
+    result is unchanged.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
+    stalled = set()
     while b - a > tol:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -303,6 +326,10 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = fn(d)
+        if b - a >= width:
+            if (a, b, c, d) in stalled:
+                break
+            stalled.add((a, b, c, d))
     return (a + b) / 2
 
 
@@ -358,18 +385,42 @@ def solve_case2_partial_support(
 
     two_xb2_vbar = 2 * x_b**2 * co.v_bKbar
 
-    def y_of(alpha):
-        phi2 = np.maximum(co.phi2(alpha), 0.0)
-        return (co.phi1(alpha) - (co.v_aK - co.v_bK * alpha) * np.sqrt(phi2)) / two_xb2_vbar
-
-    def objective(alpha):
-        # u_hat; -inf where y is non-positive (reconstruction impossible)
-        y = y_of(alpha)
+    def terms(alpha, root):
+        # y and the numerator and denominator of u_hat at alpha, where root
+        # = sqrt(max(phi2(alpha), 0)).  Operators only: the scan passes its
+        # sample array, the refinement one Python float.  alpha**2 squares
+        # an array as alpha*alpha but calls C pow on a float, and the two
+        # differ in the last bit on about 0.1% of inputs.  So the refinement
+        # is not batched into arrays: a last-bit change in one u_hat value
+        # can flip a golden-section comparison and move alpha.
+        y = (co.phi1(alpha) - (co.v_aK - co.v_bK * alpha) * root) / two_xb2_vbar
         num = (co.c_K - alpha * co.v_aK) * (co.v_aK - alpha * co.v_bK)
         den = y * x_b + (co.c_K - 2 * alpha * co.v_aK + alpha**2 * co.v_bK)
+        return y, num, den
+
+    def array_terms(alpha):
+        # terms on the scan's sample array, or on one numpy scalar
+        return terms(alpha, np.sqrt(np.maximum(co.phi2(alpha), 0.0)))
+
+    def scan(samples):
+        # u_hat; -inf where y or den is not positive (reconstruction impossible)
+        y, num, den = array_terms(samples)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where((y > 0) & (den > 0), num / np.where(den != 0, den, 1.0), -np.inf)
-        return out if out.ndim else float(out)
+            return np.where((y > 0) & (den > 0), num / np.where(den != 0, den, 1.0), -np.inf)
+
+    def float_terms(alpha):
+        # terms at one Python float.  max() keeps a -0.0 that np.maximum
+        # turns into 0.0; y is then a signed zero and fails y > 0 either way.
+        # Python floats raise where numpy returns inf or nan (alpha**2
+        # overflowing, a zero two_xb2_vbar); such a point takes numpy's values.
+        try:
+            return terms(alpha, math.sqrt(max(co.phi2(alpha), 0.0)))
+        except ArithmeticError:
+            return tuple(float(t) for t in array_terms(np.float64(alpha)))
+
+    def u_hat(alpha):
+        y, num, den = float_terms(alpha)
+        return num / den if y > 0 and den > 0 else -math.inf
 
     # Half-open feasible regions on either side of the ratio range, truncated.
     radius = TRUNCATION_FACTOR * float((va / vb).max())
@@ -384,16 +435,16 @@ def solve_case2_partial_support(
                 continue
             for i_lo, i_hi in _phi2_nonneg_intervals(co, r_lo, r_hi):
                 samples = np.linspace(i_lo, i_hi, SCAN_SAMPLES)
-                vals = objective(samples)
+                vals = scan(samples)
                 if not np.any(np.isfinite(vals)):
                     continue
                 k = int(np.nanargmax(vals))
                 if vals[k] > best_val:
                     best_val = float(vals[k])
-                    lo_b = samples[max(k - 1, 0)]
-                    hi_b = samples[min(k + 1, SCAN_SAMPLES - 1)]
-                    best_alpha = _golden_max(objective, lo_b, hi_b, ALPHA_TOL)
-                    best_val = max(best_val, float(objective(best_alpha)))
+                    lo_b = float(samples[max(k - 1, 0)])
+                    hi_b = float(samples[min(k + 1, SCAN_SAMPLES - 1)])
+                    best_alpha = _golden_max(u_hat, lo_b, hi_b, ALPHA_TOL)
+                    best_val = max(best_val, u_hat(best_alpha))
                 # objective still climbing at a truncated (unbounded) end?
                 if i_lo == -radius and vals[0] >= vals[1]:
                     hit_truncation = True
@@ -407,14 +458,14 @@ def solve_case2_partial_support(
     # best sampled point stays as the candidate and loses to the branch
     # that realizes the limit.
 
-    if best_alpha is None or not np.isfinite(best_val):
+    if best_alpha is None or not math.isfinite(best_val):
         return None
-    y = float(y_of(best_alpha))
+    y = float_terms(best_alpha)[0]
     if y <= 0:
         return None
     on_K = (va[idx] / np.sqrt(vb[idx]) - best_alpha * np.sqrt(vb[idx])) ** 2 / y
     amounts = _fill_outside(instance, idx, on_K)
-    return _assemble_candidate(instance, amounts, CASE_2_2, float(best_alpha), y)
+    return _assemble_candidate(instance, amounts, CASE_2_2, best_alpha, y)
 
 
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
@@ -441,6 +492,13 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
                 cand = solve_case2_partial_support(canon, idx)
         except SolverInvariantError as exc:  # keep scanning other prefixes
             notes.append(f"K=[0..{k - 1}]: {exc}")
+            continue
+        except (ArithmeticError, InputError) as exc:
+            # canon is a valid instance and K a valid prefix, so these come
+            # from the candidate's own numbers: at extreme scales a float
+            # overflows (OverflowError) or the spend is not a valid
+            # allocation (non-finite, or a zero that underflowed).
+            notes.append(f"K=[0..{k - 1}]: {type(exc).__name__}: {exc}")
             continue
         if cand is None:
             notes.append(f"K=[0..{k - 1}]: infeasible")

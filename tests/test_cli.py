@@ -5,6 +5,7 @@ against the documented contract (0 ok, 2 input error, 3 solver-invariant
 failure), outputs against the library functions they wrap.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -131,6 +132,19 @@ class TestSolveCommitment:
         _, out = run_to_file(tmp_path, "se.json", ["solve-commitment", "--instance", path])
         assert stdout == out.read_text()
 
+    def test_overflowing_budget_exits_3(self, tmp_path, capsys):
+        # `gen --n 4 --seed 0` with budget_a = 1e200: x_a**2 overflows in
+        # the case coefficients.  It used to crash with a bare OverflowError.
+        gen_path = tmp_path / "g.json"
+        assert main(["gen", "--n", "4", "--seed", "0", "--out", str(gen_path)]) == 0
+        data = json.loads(gen_path.read_text())
+        data["budget_a"] = 1e200
+        path = write_json(tmp_path, "big.json", data)
+        assert main(["solve-commitment", "--instance", path]) == 3
+        err = capsys.readouterr().err
+        assert "solver invariant failure" in err
+        assert "OverflowError" in err
+
 
 class TestSolveNash:
     def test_worked_example(self, tmp_path):
@@ -253,6 +267,60 @@ class TestVerify:
         assert "solver invariant failure" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["checks_failed"]
+
+
+    # Valid n=3 instance whose near-optimal grid point has the non-prefix
+    # support [0, 2] while the solver beats the grid (16.253951 vs 16.253923).
+    OFF_PREFIX_GRID = {
+        "budget_a": 8.66680661181101,
+        "budget_b": 0.6950545584475625,
+        "values_a": [6.686182058076243, 4.339790818625084, 5.994566344367145],
+        "values_b": [8.504289029642486, 3.0589675421151736, 1.0390820929685793],
+    }
+
+    def test_grid_support_off_prefix_passes_when_the_solver_wins(self, tmp_path):
+        path = write_json(tmp_path, "g.json", self.OFF_PREFIX_GRID)
+        code, out = run_to_file(tmp_path, "verify.json", ["verify", "--instance", path])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["checks_failed"] == []
+        assert payload["solver_leader_utility"] > payload["grid_leader_utility"]
+
+    def test_grid_support_off_prefix_fails_when_the_grid_wins(
+        self, tmp_path, monkeypatch
+    ):
+        # A grid that beats the solver with an off-prefix support is a
+        # counterexample to the prefix theorem; verify must flag it.
+        def grid_wins(instance, grid):
+            return None, optimal_commitment(instance).leader_utility + 1e-6, (0, 2)
+
+        monkeypatch.setattr("blotto.cli.oracle_commitment", grid_wins)
+        path = write_json(tmp_path, "g.json", self.OFF_PREFIX_GRID)
+        code, out = run_to_file(
+            tmp_path, "verify.json", ["verify", "--instance", path, "--resolution", "50"]
+        )
+        assert code == 3
+        failures = json.loads(out.read_text())["checks_failed"]
+        assert (
+            "grid-optimal support [0, 2] is not a prefix in canonical ratio "
+            "order (positions [0, 2])"
+        ) in failures
+
+    def test_solver_support_off_prefix_fails(self, tmp_path, monkeypatch):
+        def off_prefix(instance):
+            return dataclasses.replace(optimal_commitment(instance), support=(0, 2))
+
+        monkeypatch.setattr("blotto.cli.optimal_commitment", off_prefix)
+        path = write_json(tmp_path, "g.json", self.OFF_PREFIX_GRID)
+        code, out = run_to_file(
+            tmp_path, "verify.json", ["verify", "--instance", path, "--resolution", "50"]
+        )
+        assert code == 3
+        failures = json.loads(out.read_text())["checks_failed"]
+        assert (
+            "solver support [0, 2] is not a prefix in canonical ratio "
+            "order (positions [0, 2])"
+        ) in failures
 
 
 class TestInputErrors:

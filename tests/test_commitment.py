@@ -1,5 +1,6 @@
 """Optimal Stackelberg commitment: case solvers and prefix enumeration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from blotto import (
     GridSpec,
     InputError,
     PreconditionError,
+    SolverInvariantError,
     best_response,
+    canonical_ordering,
     follower_marginal_utility,
     optimal_commitment,
     oracle_commitment,
@@ -19,12 +22,15 @@ from blotto import (
     total_utility,
 )
 from blotto.commitment import (
+    ALPHA_TOL,
     CaseCoefficients,
+    _golden_max,
     solve_case1,
     solve_case2_full_support,
     solve_case2_partial_support,
     threshold_allocation_outside_support,
 )
+from blotto.game_core import BUDGET_SUM_RTOL
 from conftest import random_instance, worked_example_instance
 
 # n=3 instance whose optimal commitment concedes battlefield 2 (a proper
@@ -345,3 +351,120 @@ class TestOptimalCommitment:
             lhs = va[j] / math.sqrt(vb[j]) - sol.alpha * math.sqrt(vb[j])
             rhs = math.sqrt(sol.allocation.amounts[j] * sol.y)
             assert abs(lhs - rhs) / (va[j] / math.sqrt(vb[j])) <= 1e-6
+
+
+def _digest(sol) -> str:
+    """sha256 prefix of the allocation bytes and of every other field."""
+    h = hashlib.sha256(sol.allocation.amounts.tobytes())
+    fields = (sol.support, sol.case_tag, sol.alpha, sol.y,
+              sol.leader_utility, sol.follower_utility)
+    h.update(repr(fields).encode())
+    return h.hexdigest()[:16]
+
+
+# _digest(optimal_commitment(...)) of the `blotto gen --n N --seed S`
+# instance, recorded at commit ff3c90a (scalar refinement on numpy floats).
+# Beyond the golden corpus, which stops at n=16; every bit must stay.
+PINNED_DIGESTS = {
+    (32, 0): "387c2ceb641440e1",
+    (32, 1): "dfdf069f33a6d2b4",
+    (32, 2): "c60dd05baa4f5188",
+    (32, 3): "7a43fce95d5a4d61",
+    (32, 4): "2abb7b497c0ac3ca",
+    (64, 0): "66322fa2eda0c795",
+    (64, 1): "cd931af92b12cafc",
+    (64, 2): "3d44e0476cdf1742",
+    (64, 3): "ff0c8ff2e319aeba",
+    (64, 4): "a21572af1de64ff7",
+    (128, 0): "d6c4cb63a8a1520d",
+    (128, 1): "932b12eeead93a74",
+    (128, 2): "f10428d8f4dc7fb0",
+    (128, 3): "11ccc75b5d6b9da3",
+    (128, 4): "80ebefb2d0527c61",
+}
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n, seed", sorted(PINNED_DIGESTS))
+    def test_gen_instance_output_is_bit_identical(self, n, seed):
+        inst = random_instance(np.random.default_rng(seed), n)
+        assert _digest(optimal_commitment(inst)) == PINNED_DIGESTS[n, seed]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_properties_at_n256(self, seed):
+        inst = random_instance(np.random.default_rng(seed), 256)
+        sol = optimal_commitment(inst)
+        total = float(sol.allocation.amounts.sum())
+        assert abs(total - inst.budget_a) <= BUDGET_SUM_RTOL * inst.budget_a
+        _, ordering = canonical_ordering(inst)
+        prefix = {int(j) for j in ordering.permutation[: len(sol.support)]}
+        assert set(sol.support) == prefix
+        assert set(best_response(inst, sol.allocation).support) == set(sol.support)
+
+
+def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):
+    return GameInstance(
+        budget_a=inst.budget_a * budgets,
+        budget_b=inst.budget_b * budgets,
+        values_a=inst.values_a * values * values_a,
+        values_b=inst.values_b * values,
+    )
+
+
+class TestExtremeScales:
+    def test_overflowing_candidate_is_dropped_and_the_rest_compete(self):
+        # At 1e150 the K={0} candidate's spend is not finite.  It used to
+        # raise InputError; dropped, it leaves the scaled full-support answer.
+        base = random_instance(np.random.default_rng(0), 3)
+        ref = optimal_commitment(base)
+        sol = optimal_commitment(_scaled(base, values=1e150, budgets=1e150))
+        assert (sol.case_tag, sol.support) == (ref.case_tag, ref.support)
+        assert sol.leader_utility == pytest.approx(ref.leader_utility * 1e150, rel=1e-9)
+        np.testing.assert_allclose(
+            sol.allocation.amounts, ref.allocation.amounts * 1e150, rtol=1e-9
+        )
+
+    def test_no_candidate_left_is_a_solver_invariant_error(self):
+        base = random_instance(np.random.default_rng(2), 3)
+        with pytest.raises(
+            SolverInvariantError, match="K=\\[0..0\\]: InputError: allocation amounts must be finite"
+        ):
+            optimal_commitment(_scaled(base, values=1e150, budgets=1e150))
+
+    def test_overflowing_budget_is_a_solver_invariant_error(self):
+        # x_a**2 overflows in CaseCoefficients; it used to escape as a bare
+        # OverflowError.
+        base = random_instance(np.random.default_rng(0), 4)
+        inst = GameInstance(1e200, base.budget_b, base.values_a, base.values_b)
+        with pytest.raises(SolverInvariantError, match="K=\\[0..0\\]: OverflowError"):
+            optimal_commitment(inst)
+
+    def test_float_refinement_falls_back_to_numpy_values(self):
+        # At budgets 1e-200, 2 * x_b**2 * v_bKbar underflows to 0: Python
+        # floats raise ZeroDivisionError where numpy gives inf or nan.  The
+        # refinement must take numpy's values, as the scalar path always
+        # did, so the K={0, 1} candidate still ends in the spend check.
+        base = random_instance(np.random.default_rng(2), 3)
+        with pytest.raises(
+            SolverInvariantError,
+            match="K=\\[0..1\\]: InputError: x_a entries on K must be strictly positive",
+        ):
+            optimal_commitment(_scaled(base, values=1e-50, budgets=1e-200))
+
+    def test_golden_search_ends_where_float_spacing_exceeds_alpha_tol(self):
+        # One float spacing near 1e12 is 1.2e-4 > ALPHA_TOL: the bracket
+        # stops narrowing and must not loop forever.
+        peak = 1e12 + 0.3
+        x = _golden_max(lambda a: -((a - peak) ** 2), 1e12 - 1e3, 1e12 + 1e3, ALPHA_TOL)
+        assert abs(x - peak) <= 2 * math.ulp(peak)
+
+    def test_large_value_ratio_commitment_is_scale_covariant(self):
+        # values_a times 1e6 puts the CASE_2_2 optimum at alpha = -1.79e6,
+        # where the golden-section search used to cycle forever.
+        base = random_instance(np.random.default_rng(2), 3)
+        ref = optimal_commitment(base)
+        sol = optimal_commitment(_scaled(base, values_a=1e6))
+        assert (sol.case_tag, sol.support) == (ref.case_tag, ref.support) == ("CASE_2_2", (0, 1))
+        assert sol.leader_utility == pytest.approx(ref.leader_utility * 1e6, rel=1e-12)
+        assert sol.alpha == pytest.approx(ref.alpha * 1e6, rel=1e-6)
+        np.testing.assert_allclose(sol.allocation.amounts, ref.allocation.amounts, rtol=1e-6)

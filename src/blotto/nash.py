@@ -9,6 +9,13 @@ root refinement by Brent's method (brentq, below) finds it.  A root whose
 reconstruction is not a valid pair of allocations, or not a mutual best
 response, is dropped; when no root survives, solve_nash raises
 SolverInvariantError.
+
+The scan samples f at SCAN_CELLS + 1 points.  It evaluates them in row
+blocks of at most _SCAN_BLOCK_ELEMENTS (mu, h) pairs, or one row when n
+is larger, that reuse two preallocated buffers.  Its working memory is
+two such blocks (1 MiB up to n = 65536), not SCAN_CELLS * n floats.  The
+scan is sampled, not certified: two roots inside one cell leave no sign
+change and are both missed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .game_core import (
 
 # Number of scan cells used to bracket sign changes of f on the interval.
 SCAN_CELLS = 4096
+# (mu, h) pairs the scan evaluates at a time (at least one row of n); its
+# working memory is two float64 buffers of this size (512 KiB each).
+_SCAN_BLOCK_ELEMENTS = 65536
 # Relative tolerance on the located root.
 ROOT_RTOL = 1e-12
 # Mutual-best-response acceptance tolerance (relative to each budget).
@@ -63,22 +73,41 @@ def nash_poly(instance: GameInstance, mu: float) -> float:
 
 
 def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
-    """nash_poly over a vector of mu values."""
+    """nash_poly over a vector of mu values, _SCAN_BLOCK_ELEMENTS (mu, h)
+    pairs at a time.  Each row only depends on its own mu, and a reduction
+    along a C-contiguous row does not depend on the rows beside it, so the
+    result is bit for bit that of one call per mu."""
     rho = instance.values_b / instance.values_a
     r = instance.budget_a / instance.budget_b
-    shifted = mus[:, None] + rho[None, :]  # strictly positive
-    squares = shifted**2
-    full = squares.prod(axis=1, keepdims=True)
-    terms = instance.values_b[None, :] * (mus[:, None] - (rho * r)[None, :])
-    return mus * (terms * full / squares).sum(axis=1)
+    rho_r = rho * r
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // rho.size)
+    squares = np.empty((min(rows, mus.size), rho.size))
+    terms = np.empty_like(squares)
+    out = np.empty(mus.size)
+    for start in range(0, mus.size, rows):
+        # The recorded reports depend on this exact operation order:
+        # (v_b * (mu - rho * r) * full) / squares, never
+        # terms * (full / squares), which rounds differently.
+        mu = mus[start : start + rows]
+        sq, tm = squares[: mu.size], terms[: mu.size]
+        np.add(mu[:, None], rho, out=sq)  # strictly positive
+        np.square(sq, out=sq)
+        full = sq.prod(axis=1, keepdims=True)
+        np.subtract(mu[:, None], rho_r, out=tm)
+        np.multiply(instance.values_b, tm, out=tm)
+        np.multiply(tm, full, out=tm)
+        np.divide(tm, sq, out=tm)
+        np.multiply(mu, tm.sum(axis=1), out=out[start : start + mu.size])
+    return out
 
 
 def brentq(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), ported
     step for step from scipy.optimize.brentq (Zeros/brentq.c) so that every
     root is bit-identical to scipy's called with xtol=BRENT_XTOL and
-    rtol=ROOT_RTOL.  An exact zero at an endpoint is the root.  Raises ValueError when f(xa) and f(xb) have the same sign or f is
-    NaN at an iterate, SolverInvariantError after BRENT_MAXITER iterations."""
+    rtol=ROOT_RTOL.  An exact zero at an endpoint is the root.  Raises
+    ValueError when f(xa) and f(xb) have the same sign or f is NaN at an
+    iterate, SolverInvariantError after BRENT_MAXITER iterations."""
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -160,7 +189,11 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     Scans the root interval in SCAN_CELLS cells, refines every sign change
     with brentq (the in-repo Brent method), keeps the roots whose
     reconstructed profiles are valid allocations and mutual best responses,
-    and among those returns the one with the highest leader utility.
+    and among those returns the one with the highest leader utility.  The
+    scan evaluates f in row blocks (see _poly_values), so its memory stays
+    bounded at any n.  It is sampled: two roots inside one cell cancel out
+    and are not located, so "highest leader utility" ranges over the
+    located roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
     not converge in a cell.
     """

@@ -215,6 +215,9 @@ def budget_sweep(instance: GameInstance, r_values: Iterable[float]) -> list[Swee
     ratios = sorted(float(r) for r in r_values)
     if not ratios:
         raise InputError("budget_sweep needs at least one ratio")
+    bad = [r for r in ratios if not math.isfinite(r)]
+    if bad:
+        raise InputError(f"budget ratios must be finite, got {bad[0]}")
     if ratios[0] <= 0:
         raise InputError(f"budget ratios must be positive, got {ratios[0]}")
     rows = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -108,7 +109,10 @@ def _cmd_solve_br(args: argparse.Namespace) -> int:
             f"{args.instance}: solve-br needs a \"commit_a\" array "
             f"(the leader allocation to respond to)"
         )
-    commit = Allocation(np.asarray(raw["commit_a"], dtype=float), instance.budget_a)
+    try:
+        commit = Allocation(raw["commit_a"], instance.budget_a)
+    except InputError as exc:
+        raise InputError(f"{args.instance}: commit_a: {exc}") from exc
     result = best_response(instance, commit)
     _dump(
         {
@@ -152,6 +156,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instance, _ = _load_instance(args.instance)
     r_min, r_max, steps = args.r_min, args.r_max, args.steps
+    for flag, value in (("--r-min", r_min), ("--r-max", r_max)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
     if r_min <= 0:
         raise InputError(f"--r-min must be positive, got {r_min}")
     if steps < 2:
@@ -200,13 +207,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # matters when the grid beats the solver: a near-optimal grid point the
     # solver already beats may have any support.
     _, ordering = canonical_ordering(instance)
+    position = ordering.to_original(np.arange(instance.n))  # canonical position of j
     supports = [("solver", se.support)]
     if oracle_u > se.leader_utility + VERIFY_SOUND_ATOL:
         supports.append(("grid-optimal", oracle_support))
     for label, support in supports:
-        canon_positions = sorted(
-            int(np.nonzero(ordering.permutation == j)[0][0]) for j in support
-        )
+        canon_positions = sorted(int(position[j]) for j in support)
         if canon_positions != list(range(len(canon_positions))):
             failures.append(
                 f"{label} support {sorted(support)} is not a prefix "

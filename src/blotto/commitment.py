@@ -1,11 +1,13 @@
 """Leader's optimal Stackelberg commitment.
 
 The optimal commitment induces a follower support that is a prefix of the
-battlefields sorted by ascending values_a/values_b, so only n support
-candidates need to be solved.  For each candidate prefix K the program
-falls into one of three cases:
+battlefields sorted by ascending values_a/values_b, so a candidate is named
+by its prefix length k alone: K = the first k battlefields of the canonical
+order, and only n candidates need to be solved.  The case solvers take k
+and work on the [:k] and [k:] slices of an instance already in that order.
+Each prefix falls into one of three cases:
 
-* CASE_1 — all ratios inside K coincide (or |K| = 1): the total spend on K
+* CASE_1 — all ratios inside K coincide (or k = 1): the total spend on K
   solves a quadratic, spread proportionally to values_a inside K.
 * CASE_2_1 — K is everything and ratios differ: alpha has a closed form
   and the commitment is a normalized square-weight profile.
@@ -19,21 +21,24 @@ falls into one of three cases:
   differently on the two (an array squares, a float calls C pow), which
   is why the refinement is not batched into arrays.
 
-Every candidate goes through _assemble_candidate once: a case solver
-returns None when its spend misses the budget identity by more than
-BUDGET_SUM_RTOL, and otherwise one round trip through best_response gives
-the candidate's utilities and follower support.  optimal_commitment drops
-a candidate whose support is not K; the best remaining one wins.  It also
-drops, with a note, a candidate whose numbers break down at extreme
-scales (a float overflow, or a spend that is not a valid allocation), and
-raises SolverInvariantError when no candidate is left.
+CASE_1 and CASE_2_2 park the battlefields outside K with one threshold
+formula, _threshold_scale, which threshold_allocation_outside_support also
+uses for an arbitrary K.  Every candidate goes through _assemble_candidate
+once: a case solver returns None when its spend misses the budget identity
+by more than BUDGET_SUM_RTOL, and otherwise one round trip through
+best_response gives the candidate's utilities and follower support.
+_prefix_candidate picks prefix k's case and drops, with a note, a candidate
+whose support is not K or whose numbers break down at extreme scales (a
+float overflow, or a spend that is not a valid allocation).
+optimal_commitment keeps the best remaining candidate and raises
+SolverInvariantError when none is left.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from .game_core import (
     Allocation,
     GameInstance,
     InputError,
-    PreconditionError,
     SolverInvariantError,
     canonical_ordering,
     total_utility,
@@ -92,8 +96,8 @@ class CommitmentSolution:
 
 @dataclass(frozen=True)
 class CaseCoefficients:
-    """Partial value sums over a support candidate K and the six
-    polynomial coefficients built from them.
+    """Partial value sums over support prefix k (K = the first k
+    battlefields) and the six polynomial coefficients built from them.
 
     phi1 and phi2 are the two quadratics in the alpha parameter that drive
     the CASE_2_2 reconstruction: phi2 >= 0 marks where y is real, and phi1
@@ -102,7 +106,6 @@ class CaseCoefficients:
 
     v_aK: float
     v_bK: float
-    v_aKbar: float
     v_bKbar: float
     c_K: float
     B1: float
@@ -113,21 +116,16 @@ class CaseCoefficients:
     B6: float
 
     @classmethod
-    def from_instance(cls, instance: GameInstance, K: Sequence[int]) -> "CaseCoefficients":
-        idx = _check_support(instance, K)
-        mask = np.zeros(instance.n, dtype=bool)
-        mask[idx] = True
-        va, vb = instance.values_a, instance.values_b
+    def from_instance(cls, instance: GameInstance, k: int) -> "CaseCoefficients":
+        va, vb = instance.values_a[:k], instance.values_b[:k]
         x_a, x_b = instance.budget_a, instance.budget_b
-        v_aK = float(va[mask].sum())
-        v_bK = float(vb[mask].sum())
-        v_aKbar = float(va[~mask].sum())
-        v_bKbar = float(vb[~mask].sum())
-        c_K = float((va[mask] ** 2 / vb[mask]).sum())
+        v_aK = float(va.sum())
+        v_bK = float(vb.sum())
+        v_bKbar = float(instance.values_b[k:].sum())
+        c_K = float((va**2 / vb).sum())
         return cls(
             v_aK=v_aK,
             v_bK=v_bK,
-            v_aKbar=v_aKbar,
             v_bKbar=v_bKbar,
             c_K=c_K,
             B1=x_a * v_bK**2 - 2 * x_b * v_bK * v_bKbar,
@@ -145,13 +143,14 @@ class CaseCoefficients:
         return (self.B4 * theta + self.B5) * theta + self.B6
 
 
-def _check_support(instance: GameInstance, K: Iterable[int]) -> list[int]:
-    idx = sorted({int(j) for j in K})
-    if not idx:
-        raise InputError("support candidate K must be non-empty")
-    if idx[0] < 0 or idx[-1] >= instance.n:
-        raise InputError(f"support candidate {idx} out of range [0, {instance.n})")
-    return idx
+def _threshold_scale(budget_b: float, spend: np.ndarray, vb_on_K: np.ndarray) -> float:
+    """(x_b + sum_K x_a)^2 / (sum_K sqrt(x_a * v_b))^2 on Python floats: the
+    threshold spend on j outside K is v_bj times this.  At extreme scales
+    the float ** and / raise OverflowError and ZeroDivisionError."""
+    if np.any(spend <= 0):
+        raise InputError("x_a entries on K must be strictly positive")
+    denom = float(np.sqrt(spend * vb_on_K).sum()) ** 2
+    return (budget_b + float(spend.sum())) ** 2 / denom
 
 
 def threshold_allocation_outside_support(
@@ -163,20 +162,20 @@ def threshold_allocation_outside_support(
     With the follower best-responding on K, battlefield j outside K stays
     unattacked precisely when x_aj >= v_bj * (x_b + sum_K x_al)^2 /
     (sum_K sqrt(x_al * v_bl))^2; the optimal commitment meets this bound
-    with equality.  Returns {j: x_aj} for every j not in K.
+    with equality.  Returns {j: x_aj} for every j not in K; K may be any
+    index set, not only a canonical prefix.
     """
-    idx = _check_support(instance, K)
+    idx = sorted({int(j) for j in K})
+    if not idx:
+        raise InputError("support candidate K must be non-empty")
+    if idx[0] < 0 or idx[-1] >= instance.n:
+        raise InputError(f"support candidate {idx} out of range [0, {instance.n})")
     spend = np.asarray(x_a_on_K, dtype=float)
     if spend.shape != (len(idx),):
         raise InputError("x_a_on_K must align with K")
-    if np.any(spend <= 0):
-        raise InputError("x_a entries on K must be strictly positive")
     vb = instance.values_b
-    denom = float(np.sqrt(spend * vb[idx]).sum()) ** 2
-    scale = (instance.budget_b + float(spend.sum())) ** 2 / denom
-    outside = np.ones(instance.n, dtype=bool)
-    outside[idx] = False
-    out_idx = np.flatnonzero(outside)
+    scale = _threshold_scale(instance.budget_b, spend, vb[idx])
+    out_idx = np.setdiff1d(np.arange(instance.n), idx)
     return dict(zip(out_idx.tolist(), (vb[out_idx] * scale).tolist()))
 
 
@@ -206,39 +205,22 @@ def _assemble_candidate(
     )
 
 
-def _fill_outside(
-    instance: GameInstance, idx: list[int], on_K: np.ndarray
-) -> np.ndarray:
-    amounts = np.zeros(instance.n)
-    amounts[idx] = on_K
-    outside = threshold_allocation_outside_support(instance, idx, on_K)
-    amounts[list(outside)] = list(outside.values())
-    return amounts
-
-
 def ratio_classes(instance: GameInstance) -> list[list[int]]:
-    """Partition battlefield indices into equal-ratio groups (ascending)."""
-    ratios = instance.values_a / instance.values_b
-    order = np.argsort(ratios, kind="stable")
+    """Partition battlefield indices into equal-ratio groups, in canonical
+    (ascending ratio) order."""
+    _, ordering = canonical_ordering(instance)
     classes: list[list[int]] = []
-    for j in order:
-        if classes:
-            rep = ratios[classes[-1][0]]
-            if abs(ratios[j] - rep) <= RATIO_CLASS_RTOL * max(abs(ratios[j]), abs(rep)):
-                classes[-1].append(int(j))
-                continue
-        classes.append([int(j)])
+    for j, ratio in zip(ordering.permutation.tolist(), ordering.ratios.tolist()):
+        if classes and abs(ratio - rep) <= RATIO_CLASS_RTOL * max(abs(ratio), abs(rep)):
+            classes[-1].append(j)
+        else:
+            classes.append([j])
+            rep = ratio
     return classes
 
 
-def _ratios_all_equal(instance: GameInstance, idx: list[int]) -> bool:
-    ratios = instance.values_a[idx] / instance.values_b[idx]
-    lo, hi = float(ratios.min()), float(ratios.max())
-    return hi - lo <= RATIO_CLASS_RTOL * max(abs(lo), abs(hi))
-
-
-def solve_case1(instance: GameInstance, K: Sequence[int]) -> CommitmentSolution | None:
-    """Support candidate with a single ratio class (or |K| = 1).
+def solve_case1(instance: GameInstance, k: int) -> CommitmentSolution | None:
+    """Support prefix k with a single ratio class (or k = 1).
 
     The total spend on K is the larger root of the budget quadratic,
     spread proportionally to values_a inside K; outside battlefields sit
@@ -246,12 +228,7 @@ def solve_case1(instance: GameInstance, K: Sequence[int]) -> CommitmentSolution 
     cannot afford the thresholds (negative discriminant or negative root)
     or the candidate misses the budget identity.
     """
-    idx = _check_support(instance, K)
-    if len(idx) > 1 and not _ratios_all_equal(instance, idx):
-        raise PreconditionError(
-            "solve_case1 requires all values_a/values_b ratios in K to agree"
-        )
-    co = CaseCoefficients.from_instance(instance, idx)
+    co = CaseCoefficients.from_instance(instance, k)
     x_a, x_b = instance.budget_a, instance.budget_b
 
     if co.v_bKbar == 0.0:  # K covers everything; spend the whole budget on it
@@ -270,8 +247,9 @@ def solve_case1(instance: GameInstance, K: Sequence[int]) -> CommitmentSolution 
         if x_aK <= 0 or x_aK > x_a:
             return None
 
-    on_K = x_aK * instance.values_a[idx] / co.v_aK
-    amounts = _fill_outside(instance, idx, on_K)
+    on_K = x_aK * instance.values_a[:k] / co.v_aK
+    vb = instance.values_b
+    amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
     return _assemble_candidate(instance, amounts, CASE_1, None, None)
 
 
@@ -282,11 +260,6 @@ def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution | Non
     square-weight profile (v_aj/sqrt(v_bj) - alpha*sqrt(v_bj))^2 normalized
     to budget_a.  Returns None when the candidate misses the budget identity.
     """
-    if _ratios_all_equal(instance, list(range(instance.n))):
-        raise PreconditionError(
-            "solve_case2_full_support requires at least two distinct ratios; "
-            "use solve_case1 for a single ratio class"
-        )
     va, vb = instance.values_a, instance.values_b
     c_K = float((va**2 / vb).sum())
     v_bK = float(vb.sum())
@@ -359,10 +332,9 @@ def _phi2_nonneg_intervals(
     return [(l, h) for l, h in pieces if l < h]
 
 
-def solve_case2_partial_support(
-    instance: GameInstance, K: Sequence[int]
-) -> CommitmentSolution | None:
-    """Proper-prefix candidate with at least two distinct ratios inside K.
+def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSolution | None:
+    """Proper support prefix k (k < n) with at least two distinct ratios
+    inside K.
 
     Maximizes the reduced objective u_hat(alpha) over the feasible alpha
     set {alpha below every ratio in K, or above every ratio in K} ∩
@@ -370,17 +342,10 @@ def solve_case2_partial_support(
     the winning alpha.  Returns None when the feasible set is empty or the
     candidate misses the budget identity.
     """
-    idx = _check_support(instance, K)
-    if len(idx) >= instance.n:
-        raise PreconditionError("K must be a proper subset; use the full-support case")
-    if not idx or _ratios_all_equal(instance, idx):
-        raise PreconditionError(
-            "solve_case2_partial_support requires two distinct ratios in K"
-        )
-    co = CaseCoefficients.from_instance(instance, idx)
+    co = CaseCoefficients.from_instance(instance, k)
     x_b = instance.budget_b
     va, vb = instance.values_a, instance.values_b
-    ratios_K = va[idx] / vb[idx]
+    ratios_K = va[:k] / vb[:k]
     rho_lo, rho_hi = float(ratios_K.min()), float(ratios_K.max())
 
     two_xb2_vbar = 2 * x_b**2 * co.v_bKbar
@@ -424,7 +389,6 @@ def solve_case2_partial_support(
 
     # Half-open feasible regions on either side of the ratio range, truncated.
     radius = TRUNCATION_FACTOR * float((va / vb).max())
-    best_alpha, best_val = None, -np.inf
     for _ in range(TRUNCATION_EXTENSIONS + 1):
         inset = 1e-12 * max(1.0, abs(rho_lo), abs(rho_hi))
         regions = [(-radius, rho_lo - inset), (rho_hi + inset, radius)]
@@ -438,11 +402,11 @@ def solve_case2_partial_support(
                 vals = scan(samples)
                 if not np.any(np.isfinite(vals)):
                     continue
-                k = int(np.nanargmax(vals))
-                if vals[k] > best_val:
-                    best_val = float(vals[k])
-                    lo_b = float(samples[max(k - 1, 0)])
-                    hi_b = float(samples[min(k + 1, SCAN_SAMPLES - 1)])
+                i = int(np.nanargmax(vals))
+                if vals[i] > best_val:
+                    best_val = float(vals[i])
+                    lo_b = float(samples[max(i - 1, 0)])
+                    hi_b = float(samples[min(i + 1, SCAN_SAMPLES - 1)])
                     best_alpha = _golden_max(u_hat, lo_b, hi_b, ALPHA_TOL)
                     best_val = max(best_val, u_hat(best_alpha))
                 # objective still climbing at a truncated (unbounded) end?
@@ -463,48 +427,60 @@ def solve_case2_partial_support(
     y = float_terms(best_alpha)[0]
     if y <= 0:
         return None
-    on_K = (va[idx] / np.sqrt(vb[idx]) - best_alpha * np.sqrt(vb[idx])) ** 2 / y
-    amounts = _fill_outside(instance, idx, on_K)
+    on_K = (va[:k] / np.sqrt(vb[:k]) - best_alpha * np.sqrt(vb[:k])) ** 2 / y
+    amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
     return _assemble_candidate(instance, amounts, CASE_2_2, best_alpha, y)
+
+
+def _prefix_candidate(
+    canon: GameInstance, ratios: np.ndarray, k: int
+) -> tuple[CommitmentSolution | None, str | None]:
+    """(candidate, None) for support prefix k of the canonical instance
+    canon, whose sorted ratios are ratios; (None, note) when the candidate
+    is dropped, with the note saying why.
+
+    Prefix k is one ratio class when its first and last ratios, its min
+    and max, agree to RATIO_CLASS_RTOL.
+    """
+    lo, hi = float(ratios[0]), float(ratios[k - 1])
+    try:
+        if hi - lo <= RATIO_CLASS_RTOL * max(abs(lo), abs(hi)):
+            cand = solve_case1(canon, k)
+        elif k == canon.n:
+            cand = solve_case2_full_support(canon)
+        else:
+            cand = solve_case2_partial_support(canon, k)
+    except SolverInvariantError as exc:
+        return None, f"K=[0..{k - 1}]: {exc}"
+    except (ArithmeticError, InputError) as exc:
+        # canon is a valid instance and k a valid prefix, so these come
+        # from the candidate's own numbers: at extreme scales a float
+        # overflows (OverflowError) or the spend is not a valid
+        # allocation (non-finite, or a zero that underflowed).
+        return None, f"K=[0..{k - 1}]: {type(exc).__name__}: {exc}"
+    if cand is None:
+        return None, f"K=[0..{k - 1}]: infeasible"
+    if cand.support != tuple(range(k)):
+        return None, f"K=[0..{k - 1}]: reply support {list(cand.support)}"
+    return cand, None
 
 
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     """Best leader commitment over all prefix support candidates.
 
-    Works in the canonical (ascending ratio) frame: each prefix K is solved
-    by its case, candidates whose follower reply does not reproduce K are
-    dropped, and the best remaining leader utility wins.  Utility ties
-    within TIE_RTOL go to the larger support.  The result is mapped back
-    to the caller's battlefield order.
+    Works in the canonical (ascending ratio) frame: each prefix length k
+    gets one candidate from _prefix_candidate, and the best remaining
+    leader utility wins.  Utility ties within TIE_RTOL go to the larger
+    support.  The result is mapped back to the caller's battlefield order.
     """
     canon, ordering = canonical_ordering(instance)
     notes: list[str] = []
     best: CommitmentSolution | None = None
     best_k = -1
     for k in range(1, canon.n + 1):
-        idx = list(range(k))
-        try:
-            if _ratios_all_equal(canon, idx):
-                cand = solve_case1(canon, idx)
-            elif k == canon.n:
-                cand = solve_case2_full_support(canon)
-            else:
-                cand = solve_case2_partial_support(canon, idx)
-        except SolverInvariantError as exc:  # keep scanning other prefixes
-            notes.append(f"K=[0..{k - 1}]: {exc}")
-            continue
-        except (ArithmeticError, InputError) as exc:
-            # canon is a valid instance and K a valid prefix, so these come
-            # from the candidate's own numbers: at extreme scales a float
-            # overflows (OverflowError) or the spend is not a valid
-            # allocation (non-finite, or a zero that underflowed).
-            notes.append(f"K=[0..{k - 1}]: {type(exc).__name__}: {exc}")
-            continue
+        cand, note = _prefix_candidate(canon, ordering.ratios, k)
         if cand is None:
-            notes.append(f"K=[0..{k - 1}]: infeasible")
-            continue
-        if cand.support != tuple(idx):
-            notes.append(f"K=[0..{k - 1}]: reply support {list(cand.support)}")
+            notes.append(note)
             continue
         if best is None:
             best, best_k = cand, k

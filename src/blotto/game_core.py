@@ -47,8 +47,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _numeric(convert, x, name: str):
+    """convert(x), or an InputError naming the field when x is not numeric."""
+    try:
+        return convert(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be numeric: {exc}") from exc
+
+
+def _float_array(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
+
+
 def _positive_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = _numeric(_float_array, x, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D vector")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
@@ -72,7 +84,7 @@ class GameInstance:
 
     def __post_init__(self):
         for name in ("budget_a", "budget_b"):
-            val = float(getattr(self, name))
+            val = _numeric(float, getattr(self, name), name)
             if not np.isfinite(val) or val <= 0:
                 raise InputError(f"{name} must be finite and strictly positive")
             object.__setattr__(self, name, val)
@@ -111,10 +123,10 @@ class Allocation:
     budget: float
 
     def __post_init__(self):
-        budget = float(self.budget)
+        budget = _numeric(float, self.budget, "allocation budget")
         if not np.isfinite(budget) or budget <= 0:
             raise InputError("allocation budget must be finite and strictly positive")
-        arr = np.asarray(self.amounts, dtype=float)
+        arr = _numeric(_float_array, self.amounts, "allocation amounts")
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("allocation amounts must be a non-empty 1-D vector")
         if not np.all(np.isfinite(arr)):
@@ -366,8 +378,8 @@ def instance_from_dict(data) -> GameInstance:
     return GameInstance(
         budget_a=data["budget_a"],
         budget_b=data["budget_b"],
-        values_a=np.asarray(data["values_a"], dtype=float),
-        values_b=np.asarray(data["values_b"], dtype=float),
+        values_a=data["values_a"],
+        values_b=data["values_b"],
     )
 
 

@@ -224,6 +224,11 @@ class TestBudgetSweep:
         with pytest.raises(InputError):
             budget_sweep(inst, [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_ratios_up_front(self, bad):
+        with pytest.raises(InputError, match="budget ratios must be finite"):
+            budget_sweep(worked_example_instance(1.0), [1.0, bad])
+
     def test_solver_failure_becomes_a_diagnostic_row(self, monkeypatch):
         import blotto.analysis as analysis_module
         from blotto import SolverInvariantError

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,16 @@ class TestSweep:
         errs = capsys.readouterr().err
         assert errs.count("error:") == 3
 
+    @pytest.mark.parametrize("flag, value", [("--r-min", "nan"), ("--r-max", "inf")])
+    def test_rejects_non_finite_ratio_flags(self, tmp_path, capsys, flag, value):
+        path = worked_example_json(tmp_path, 1.0)
+        flags = {"--r-min": "0.5", "--r-max": "2", flag: value}
+        argv = ["sweep", "--instance", path, "--steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [x for kv in flags.items() for x in kv]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes_on_worked_example(self, tmp_path):
@@ -344,6 +355,34 @@ class TestInputErrors:
         )
         assert main(["solve-commitment", "--instance", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"values_a": [1.0, "x"]}, "values_a"),
+            ({"budget_a": [2]}, "budget_a"),
+            ({"commit_a": "x"}, "commit_a"),
+            ({"commit_a": {"a": 1}}, "commit_a"),
+        ],
+        ids=["string-value", "list-budget", "string-commit", "object-commit"],
+    )
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, change, field):
+        data = {"budget_a": 1.0, "budget_b": 1.0, "values_a": [1.0, 2.0],
+                "values_b": [1.0, 1.0], "commit_a": [0.5, 0.5]}
+        path = write_json(tmp_path, "bad.json", {**data, **change})
+        assert main(["solve-br", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f": {field}" in err
+        assert "must be numeric" in err
+
+    def test_numeric_strings_still_convert(self, tmp_path):
+        path = write_json(
+            tmp_path,
+            "strings.json",
+            {"budget_a": "1.0", "budget_b": 1, "values_a": ["1.0", 2],
+             "values_b": [1, 1.0], "commit_a": ["0.5", 0.5]},
+        )
+        assert main(["solve-br", "--instance", path, "--out", str(tmp_path / "o.json")]) == 0
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = write_json(

@@ -11,7 +11,6 @@ from blotto import (
     GameInstance,
     GridSpec,
     InputError,
-    PreconditionError,
     SolverInvariantError,
     best_response,
     canonical_ordering,
@@ -25,6 +24,7 @@ from blotto.commitment import (
     ALPHA_TOL,
     CaseCoefficients,
     _golden_max,
+    _prefix_candidate,
     solve_case1,
     solve_case2_full_support,
     solve_case2_partial_support,
@@ -93,7 +93,7 @@ class TestCaseCoefficients:
             n = int(rng.integers(2, 6))
             inst = random_instance(rng, n)
             k = int(rng.integers(1, n + 1))
-            co = CaseCoefficients.from_instance(inst, range(k))
+            co = CaseCoefficients.from_instance(inst, k)
             va, vb = inst.values_a, inst.values_b
             x_a, x_b = inst.budget_a, inst.budget_b
             v_aK, v_bK = va[:k].sum(), vb[:k].sum()
@@ -124,7 +124,7 @@ class TestCase1:
             values_a=np.array([2.0, 4.0]),
             values_b=np.array([1.0, 2.0]),
         )
-        sol = solve_case1(inst, [0, 1])
+        sol = solve_case1(inst, 2)
         assert sol is not None
         assert np.allclose(sol.allocation.amounts, [1.0, 2.0], rtol=1e-12)
         reply = best_response(inst, sol.allocation)
@@ -139,7 +139,7 @@ class TestCase1:
             values_a=np.array([1.0, 1.0]),
             values_b=np.array([1.0, 1.0]),
         )
-        assert solve_case1(inst, [0]) is None
+        assert solve_case1(inst, 1) is None
 
     def test_feasible_singleton_round_trips(self):
         inst = GameInstance(
@@ -148,14 +148,9 @@ class TestCase1:
             values_a=np.array([1.0, 1.0]),
             values_b=np.array([1.0, 1.0]),
         )
-        sol = solve_case1(inst, [0])
+        sol = solve_case1(inst, 1)
         assert sol is not None
         assert set(best_response(inst, sol.allocation).support) == {0}
-
-    def test_rejects_mixed_ratios(self):
-        inst = worked_example_instance(1.0)
-        with pytest.raises(PreconditionError):
-            solve_case1(inst, [0, 1])
 
 
 class TestCase2FullSupport:
@@ -166,16 +161,6 @@ class TestCase2FullSupport:
     def test_worked_example_r_half_commitment(self):
         sol = solve_case2_full_support(worked_example_instance(0.5))
         assert np.allclose(sol.allocation.amounts, [0.136, 0.364], atol=1e-3)
-
-    def test_rejects_uniform_ratios(self):
-        inst = GameInstance(
-            budget_a=1.0,
-            budget_b=1.0,
-            values_a=np.array([2.0, 4.0]),
-            values_b=np.array([1.0, 2.0]),
-        )
-        with pytest.raises(PreconditionError):
-            solve_case2_full_support(inst)
 
     def test_alpha_is_negative_closed_form(self, rng):
         for _ in range(10):
@@ -189,25 +174,10 @@ class TestCase2FullSupport:
 
 
 class TestCase2PartialSupport:
-    def test_rejects_full_support(self):
-        inst = worked_example_instance(1.0)
-        with pytest.raises(PreconditionError):
-            solve_case2_partial_support(inst, [0, 1])
-
-    def test_rejects_single_ratio_class(self):
-        inst = GameInstance(
-            budget_a=1.0,
-            budget_b=1.0,
-            values_a=np.array([1.0, 2.0, 9.0]),
-            values_b=np.array([1.0, 2.0, 1.0]),
-        )
-        with pytest.raises(PreconditionError):
-            solve_case2_partial_support(inst, [0, 1])
-
     def test_alpha_lands_in_the_feasible_set(self):
-        sol = solve_case2_partial_support(PARTIAL_SUPPORT_INSTANCE, [0, 1])
+        sol = solve_case2_partial_support(PARTIAL_SUPPORT_INSTANCE, 2)
         assert sol is not None
-        co = CaseCoefficients.from_instance(PARTIAL_SUPPORT_INSTANCE, [0, 1])
+        co = CaseCoefficients.from_instance(PARTIAL_SUPPORT_INSTANCE, 2)
         ratios = (
             PARTIAL_SUPPORT_INSTANCE.values_a[:2] / PARTIAL_SUPPORT_INSTANCE.values_b[:2]
         )
@@ -229,7 +199,7 @@ class TestCase2PartialSupport:
             ratios = canon.values_a[:2] / canon.values_b[:2]
             if abs(ratios[0] - ratios[1]) <= 1e-9 * ratios.max():
                 continue
-            sol = solve_case2_partial_support(canon, [0, 1])
+            sol = solve_case2_partial_support(canon, 2)
             if sol is None:
                 continue
             produced += 1
@@ -381,6 +351,34 @@ PINNED_DIGESTS = {
     (128, 2): "f10428d8f4dc7fb0",
     (128, 3): "11ccc75b5d6b9da3",
     (128, 4): "80ebefb2d0527c61",
+    # recorded at 3b571c8, before the solvers were keyed on prefix length
+    (256, 0): "e44f4526a521686d",
+    (256, 1): "6410acdf84a28215",
+    (512, 0): "47e9c6de8c7499ff",
+    (512, 1): "e28606bcfbccc22a",
+}
+
+
+def tied_instance(n, seed, budget_a):
+    """values_b = values_a times a per-battlefield draw from {0.5, 1, 2}, so
+    the battlefields fall into two or three exact ratio classes."""
+    rng = np.random.default_rng(seed)
+    va = rng.uniform(0.1, 10.0, n)
+    return GameInstance(budget_a, 1.0, va, va * rng.choice([0.5, 1.0, 2.0], n))
+
+
+# _digest(optimal_commitment(tied_instance(n, seed, budget_a))), recorded at
+# 3b571c8.  A strong leader wins with the first ratio class (CASE_1 at
+# k > 1), which no gen instance reaches.
+TIED_DIGESTS = {
+    (8, 2, 20.0): ("CASE_1", "93b2d0706fa65687"),
+    (8, 16, 2.0): ("CASE_1", "65341956ac8b58be"),
+    (8, 0, 2.0): ("CASE_2_2", "e9f488584c94564e"),
+    (16, 1, 20.0): ("CASE_1", "d12434f25acd7c1b"),
+    (16, 0, 20.0): ("CASE_2_2", "53244399ba1c2027"),
+    (32, 1, 20.0): ("CASE_1", "984a8ace0b1418b6"),
+    (32, 0, 0.5): ("CASE_2_1", "623fa03207ede78d"),
+    (64, 0, 2.0): ("CASE_2_2", "2ffcee2f51e16d88"),
 }
 
 
@@ -389,6 +387,11 @@ class TestLargeN:
     def test_gen_instance_output_is_bit_identical(self, n, seed):
         inst = random_instance(np.random.default_rng(seed), n)
         assert _digest(optimal_commitment(inst)) == PINNED_DIGESTS[n, seed]
+
+    @pytest.mark.parametrize("n, seed, budget_a", sorted(TIED_DIGESTS))
+    def test_tied_ratio_output_is_bit_identical(self, n, seed, budget_a):
+        sol = optimal_commitment(tied_instance(n, seed, budget_a))
+        assert (sol.case_tag, _digest(sol)) == TIED_DIGESTS[n, seed, budget_a]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_properties_at_n256(self, seed):
@@ -400,6 +403,35 @@ class TestLargeN:
         prefix = {int(j) for j in ordering.permutation[: len(sol.support)]}
         assert set(sol.support) == prefix
         assert set(best_response(inst, sol.allocation).support) == set(sol.support)
+
+
+def _prefix_corpus(kind, count=60):
+    """count instances at n in [2, 32]: `gen`-range draws, or log-uniform
+    values in 1e±3 with budgets in 1e±2."""
+    rng = np.random.default_rng(4 if kind == "gen" else 5)
+    for _ in range(count):
+        n = int(rng.integers(2, 33))
+        if kind == "gen":
+            yield random_instance(rng, n)
+        else:
+            budgets = 10.0 ** rng.uniform(-2, 2, 2)
+            yield GameInstance(*budgets, 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n))
+
+
+class TestPrefixRange:
+    """The two facts a search over k would rest on, checked against a full
+    enumeration of the prefix candidates."""
+
+    @pytest.mark.parametrize("kind", ["gen", "log-uniform"])
+    def test_valid_prefixes_are_contiguous_and_the_largest_wins(self, kind):
+        for inst in _prefix_corpus(kind):
+            canon, ordering = canonical_ordering(inst)
+            valid = [
+                k for k in range(1, inst.n + 1)
+                if _prefix_candidate(canon, ordering.ratios, k)[0] is not None
+            ]
+            assert valid == list(range(valid[0], valid[-1] + 1))
+            assert len(optimal_commitment(inst).support) == valid[-1]
 
 
 def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):
@@ -450,6 +482,17 @@ class TestExtremeScales:
             match="K=\\[0..1\\]: InputError: x_a entries on K must be strictly positive",
         ):
             optimal_commitment(_scaled(base, values=1e-50, budgets=1e-200))
+
+    def test_full_support_case1_still_checks_the_spend(self):
+        # One ratio class at budgets 1e-200 and values 1e-160: the spend
+        # x_a * v_aj / v_aK underflows to 0.  The threshold check runs at
+        # k = n too, so the note names the zero spend, not "infeasible".
+        inst = GameInstance(1e-200, 1e-200, np.array([1e-160, 2e-160]), np.array([2e-160, 4e-160]))
+        with pytest.raises(
+            SolverInvariantError,
+            match="K=\\[0..1\\]: InputError: x_a entries on K must be strictly positive",
+        ):
+            optimal_commitment(inst)
 
     def test_golden_search_ends_where_float_spacing_exceeds_alpha_tol(self):
         # One float spacing near 1e12 is 1.2e-4 > ALPHA_TOL: the bracket

@@ -208,9 +208,9 @@ def budget_sweep(instance: GameInstance, r_values: Iterable[float]) -> list[Swee
     """Re-solve both equilibria at x_a = r * x_b for each ratio r.
 
     The follower budget and all values are taken from the instance; only
-    the leader budget moves.  Solver failures become nan rows carrying the
-    error text instead of aborting the sweep.  Rows come back sorted
-    ascending by r.
+    the leader budget moves.  Solver failures, and a ratio whose leader
+    budget is not a finite float, become nan rows carrying the error text
+    instead of aborting the sweep.  Rows come back sorted ascending by r.
     """
     ratios = sorted(float(r) for r in r_values)
     if not ratios:
@@ -222,13 +222,13 @@ def budget_sweep(instance: GameInstance, r_values: Iterable[float]) -> list[Swee
         raise InputError(f"budget ratios must be positive, got {ratios[0]}")
     rows = []
     for r in ratios:
-        scaled = GameInstance(
-            budget_a=r * instance.budget_b,
-            budget_b=instance.budget_b,
-            values_a=instance.values_a,
-            values_b=instance.values_b,
-        )
         try:
+            scaled = GameInstance(
+                budget_a=r * instance.budget_b,
+                budget_b=instance.budget_b,
+                values_a=instance.values_a,
+                values_b=instance.values_b,
+            )
             se = optimal_commitment(scaled)
             ne = solve_nash(scaled)
             coincides = check_coincidence(scaled).coincides

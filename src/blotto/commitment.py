@@ -15,11 +15,15 @@ Each prefix falls into one of three cases:
   maximization over alpha, with the spend profile recovered from alpha via
   the y-quadratic (the budget identity picks y) and the off-support
   battlefields parked exactly at the follower's indifference threshold.
-  A SCAN_SAMPLES-point scan of the reduced objective u_hat(alpha) runs as
-  one numpy array call; golden-section refinement around the best sample
-  then evaluates the same formula on Python floats.  alpha**2 rounds
-  differently on the two (an array squares, a float calls C pow), which
-  is why the refinement is not batched into arrays.
+  The alpha range is truncated at a radius that up to
+  TRUNCATION_EXTENSIONS further passes widen.  Each pass scans the reduced
+  objective u_hat(alpha) at SCAN_SAMPLES points on every feasible interval,
+  as one numpy array, and that scan alone decides whether the objective
+  still climbs at a truncated end, so whether another pass follows.  Only
+  the pass that ends the loop is refined: golden-section search around the
+  best samples evaluates the same formula on Python floats.  alpha**2
+  rounds differently on the two (an array squares, a float calls C pow),
+  which is why the refinement is not batched into arrays.
 
 CASE_1 and CASE_2_2 park the battlefields outside K with one threshold
 formula, _threshold_scale, which threshold_allocation_outside_support also
@@ -341,6 +345,15 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
     {phi2(alpha) >= 0} ∩ {y(alpha) > 0}, then rebuilds the commitment from
     the winning alpha.  Returns None when the feasible set is empty or the
     candidate misses the budget identity.
+
+    The search runs in up to TRUNCATION_EXTENSIONS + 1 passes over
+    |alpha| <= radius, the radius growing by TRUNCATION_GROWTH each time.
+    A pass first scans all of its phi2 >= 0 intervals as one
+    (intervals, SCAN_SAMPLES) array, then decides from that scan alone
+    whether the objective still climbs at a truncated end.  If it does, and
+    passes remain, a wider pass follows.  Only the pass that ends the loop
+    is refined, interval by interval in order (left region, then right),
+    with _golden_max around each sample that beats the best value so far.
     """
     co = CaseCoefficients.from_instance(instance, k)
     x_b = instance.budget_b
@@ -389,31 +402,27 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
 
     # Half-open feasible regions on either side of the ratio range, truncated.
     radius = TRUNCATION_FACTOR * float((va / vb).max())
+    inset = 1e-12 * max(1.0, abs(rho_lo), abs(rho_hi))
     for _ in range(TRUNCATION_EXTENSIONS + 1):
-        inset = 1e-12 * max(1.0, abs(rho_lo), abs(rho_hi))
         regions = [(-radius, rho_lo - inset), (rho_hi + inset, radius)]
-        best_alpha, best_val = None, -np.inf
-        hit_truncation = False
-        for r_lo, r_hi in regions:
-            if r_lo >= r_hi:
-                continue
-            for i_lo, i_hi in _phi2_nonneg_intervals(co, r_lo, r_hi):
-                samples = np.linspace(i_lo, i_hi, SCAN_SAMPLES)
-                vals = scan(samples)
-                if not np.any(np.isfinite(vals)):
-                    continue
-                i = int(np.nanargmax(vals))
-                if vals[i] > best_val:
-                    best_val = float(vals[i])
-                    lo_b = float(samples[max(i - 1, 0)])
-                    hi_b = float(samples[min(i + 1, SCAN_SAMPLES - 1)])
-                    best_alpha = _golden_max(u_hat, lo_b, hi_b, ALPHA_TOL)
-                    best_val = max(best_val, u_hat(best_alpha))
-                # objective still climbing at a truncated (unbounded) end?
-                if i_lo == -radius and vals[0] >= vals[1]:
-                    hit_truncation = True
-                if i_hi == radius and vals[-1] >= vals[-2]:
-                    hit_truncation = True
+        intervals = [
+            piece
+            for r_lo, r_hi in regions
+            if r_lo < r_hi
+            for piece in _phi2_nonneg_intervals(co, r_lo, r_hi)
+        ]
+        samples = np.empty((len(intervals), SCAN_SAMPLES))
+        for row, (i_lo, i_hi) in zip(samples, intervals):
+            row[:] = np.linspace(i_lo, i_hi, SCAN_SAMPLES)
+        vals = scan(samples)
+        # rows with no finite sample take no part in either step below
+        live = np.isfinite(vals).any(axis=1)
+        # objective still climbing at a truncated (unbounded) end?
+        hit_truncation = any(
+            (i_lo == -radius and row[0] >= row[1]) or (i_hi == radius and row[-1] >= row[-2])
+            for (i_lo, i_hi), row, ok in zip(intervals, vals, live)
+            if ok
+        )
         if not hit_truncation:
             break
         radius *= TRUNCATION_GROWTH
@@ -421,6 +430,20 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
     # supremum on this branch sits at the (unattained) limit profile; the
     # best sampled point stays as the candidate and loses to the branch
     # that realizes the limit.
+
+    # Only the pass that ended the loop is refined: the candidate depends on
+    # that pass alone, and the loop's exit on the scans alone.
+    best_alpha, best_val = None, -math.inf
+    for row_samples, row, ok in zip(samples, vals, live):
+        if not ok:
+            continue
+        i = int(np.nanargmax(row))
+        if row[i] > best_val:
+            best_val = float(row[i])
+            lo_b = float(row_samples[max(i - 1, 0)])
+            hi_b = float(row_samples[min(i + 1, SCAN_SAMPLES - 1)])
+            best_alpha = _golden_max(u_hat, lo_b, hi_b, ALPHA_TOL)
+            best_val = max(best_val, u_hat(best_alpha))
 
     if best_alpha is None or not math.isfinite(best_val):
         return None

@@ -248,6 +248,14 @@ class TestBudgetSweep:
         assert math.isnan(bad.ne_u_a) and math.isnan(bad.se_u_a)
         assert bad.coincides is False
 
+    def test_overflowing_leader_budget_becomes_a_diagnostic_row(self):
+        # 1e308 * budget_b overflows to inf: that row fails, the sweep goes on.
+        inst = GameInstance(5.0, 10.0, np.array([1.0, 5.0]), np.array([1.0, 0.5]))
+        good, bad = budget_sweep(inst, [1.0, 1e308])
+        assert good.diagnostic is None and math.isfinite(good.se_u_a)
+        assert bad.r == 1e308 and math.isnan(bad.se_u_a) and math.isnan(bad.ne_u_b)
+        assert bad.diagnostic == "budget_a must be finite and strictly positive"
+
     def test_leader_se_curve_regression_is_monotone(self):
         # Regression data for this specific instance (not a general law):
         # the leader's commitment utility rises with its budget share.

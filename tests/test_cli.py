@@ -250,6 +250,23 @@ class TestSweep:
             assert main(argv + [x for kv in flags.items() for x in kv]) == 2
         assert f"error: {flag} must be finite" in capsys.readouterr().err
 
+    def test_overflowing_ratio_row_is_nan_and_the_sweep_goes_on(self, tmp_path):
+        path = write_json(
+            tmp_path,
+            "b10.json",
+            {"budget_a": 5.0, "budget_b": 10.0, "values_a": [1.0, 5.0], "values_b": [1.0, 0.5]},
+        )
+        code, out = run_to_file(
+            tmp_path,
+            "sweep.csv",
+            ["sweep", "--instance", path, "--r-min", "1", "--r-max", "1e308", "--steps", "2"],
+        )
+        assert code == 0
+        header, first, last = out.read_text().splitlines()
+        assert header == self.HEADER
+        assert first.startswith("1,") and "nan" not in first
+        assert last == "1e+308,nan,nan,nan,nan,false"
+
 
 class TestVerify:
     def test_passes_on_worked_example(self, tmp_path):

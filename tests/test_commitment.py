@@ -20,6 +20,7 @@ from blotto import (
     solve_nash,
     total_utility,
 )
+from blotto import commitment
 from blotto.commitment import (
     ALPHA_TOL,
     CaseCoefficients,
@@ -404,6 +405,81 @@ class TestLargeN:
         assert set(sol.support) == prefix
         assert set(best_response(inst, sol.allocation).support) == set(sol.support)
 
+
+def log_uniform_instance(seed):
+    """n in [2, 16], log-uniform values in 1e±3 and budgets in 1e±2."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 17))
+    budgets = 10.0 ** rng.uniform(-2, 2, 2)
+    return GameInstance(*budgets, 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n))
+
+
+# seed: (passes, k, _digest(optimal_commitment(log_uniform_instance(seed)))),
+# recorded at b4debcf.  Each winner is CASE_2_2 at prefix k, and its alpha
+# search ends after that many truncation passes.  About 1 in 100 CASE_2_2
+# calls in this range ends before the last pass; no `gen`-range call ends
+# after 2 or 3 passes.
+PASS_DIGESTS = {
+    3699: (1, 2, "13056b8a139bc8a5"),  # n=3
+    2034: (1, 3, "b897d2007e54fe16"),  # n=8
+    297: (2, 2, "9f220f2d8fba0992"),  # n=4
+    256: (2, 2, "ad95c526ce659cf1"),  # n=8
+    128: (3, 5, "b3a74656f3797372"),  # n=12
+    306: (3, 2, "f02ed7053fa99aaf"),  # n=14
+    6: (4, 5, "64b846f4ff5bd2ed"),  # n=8
+    3: (4, 13, "773471f0c6071622"),  # n=14
+}
+
+
+class TestTruncationPasses:
+    @staticmethod
+    def passes(monkeypatch, canon, k):
+        """Truncation passes of solve_case2_partial_support(canon, k): each
+        pass splits its right-hand region (lo > 0) by phi2 once."""
+        lows = []
+        real = commitment._phi2_nonneg_intervals
+
+        def split(co, lo, hi):
+            lows.append(lo)
+            return real(co, lo, hi)
+
+        monkeypatch.setattr(commitment, "_phi2_nonneg_intervals", split)
+        solve_case2_partial_support(canon, k)
+        monkeypatch.undo()
+        return sum(lo > 0 for lo in lows)
+
+    @pytest.mark.parametrize("seed", sorted(PASS_DIGESTS))
+    def test_pass_count_output_is_bit_identical(self, monkeypatch, seed):
+        inst = log_uniform_instance(seed)
+        passes, k, digest = PASS_DIGESTS[seed]
+        sol = optimal_commitment(inst)
+        assert (sol.case_tag, len(sol.support), _digest(sol)) == ("CASE_2_2", k, digest)
+        canon, _ = canonical_ordering(inst)
+        assert self.passes(monkeypatch, canon, k) == passes
+
+    def test_golden_section_runs_once_per_candidate(self, monkeypatch):
+        # Only the pass that ends the loop is refined.  Seed 6 has three
+        # candidates, each of which takes all four passes.
+        runs = []  # [golden-section runs, returned a candidate] per call
+        real_golden = commitment._golden_max
+        real_solve = commitment.solve_case2_partial_support
+
+        def golden(*args):
+            runs[-1][0] += 1
+            return real_golden(*args)
+
+        def solve(instance, k):
+            runs.append([0, False])
+            cand = real_solve(instance, k)
+            runs[-1][1] = cand is not None
+            return cand
+
+        monkeypatch.setattr(commitment, "_golden_max", golden)
+        monkeypatch.setattr(commitment, "solve_case2_partial_support", solve)
+        sol = optimal_commitment(log_uniform_instance(6))
+        assert _digest(sol) == PASS_DIGESTS[6][2]
+        assert sum(ok for _, ok in runs) == 3
+        assert [count for count, _ in runs] == [int(ok) for _, ok in runs]
 
 def _prefix_corpus(kind, count=60):
     """count instances at n in [2, 32]: `gen`-range draws, or log-uniform

@@ -48,7 +48,7 @@ for committed in ([1.0, 1.0], [0.543, 1.457], [1.9, 0.1]):
     print(f"  follower utility {total_utility(game, 'b', leader, reply.allocation):.6f}")
     print()
 
-# Sanity: the closed form should match an exhaustive grid search.
+# Sanity: the closed form should match an exact grid search.
 leader = Allocation(np.array([0.543, 1.457]), game.budget_a)
 closed = best_response(game, leader)
 closed_utility = total_utility(game, "b", leader, closed.allocation)

@@ -7,17 +7,17 @@ simplex and replies with the closed-form best response at every grid
 point (batch_leader_utilities, on the same water-filling kernel as
 best_response), checking the commitment solver end to end.
 
-Both searches use integer compositions of the grid resolution.  When an
-exhaustive enumeration would exceed the point cap, the follower-side
-search falls back to an exact marginal-increment (greedy) pass: the
-follower's payoff is a sum of concave single-battlefield terms, for which
-greedy unit allocation attains the enumeration optimum.  The leader-side
-search has no such structure and raises instead.
+Both searches work on integer grid units.  The follower's payoff is a sum
+of concave single-battlefield terms, so at every stage, coarse and refined,
+the follower search takes the largest marginal increments of one unit:
+that attains the optimum over all compositions exactly (separable concave
+resource allocation).  The leader-side search has no such structure and
+enumerates its compositions.  POINT_CAP bounds both players' work: the
+leader's grid points and the follower's table of marginal gains.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -31,9 +31,10 @@ from .game_core import (
     InputError,
     PreconditionError,
     _check_alloc,
+    total_utility,
 )
 
-DEFAULT_POINT_CAP = 10_000_000
+POINT_CAP = 10_000_000
 # Refinement shrinks the step by 4x and searches +/- 2 old steps around the
 # incumbent, i.e. +/- 8 new steps per coordinate.
 REFINE_FACTOR = 4
@@ -42,27 +43,27 @@ REFINE_HALO = 2 * REFINE_FACTOR
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid search parameters: subdivisions per budget and local passes."""
+    """Grid search parameters: subdivisions per budget and local passes.
+
+    Each search stage is held to POINT_CAP leader grid points or follower
+    marginal gains; a stage over it raises InputError.
+    """
 
     resolution: int
     refinement_rounds: int = 0
-    point_cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
         if int(self.resolution) < 2:
             raise InputError(f"resolution must be >= 2, got {self.resolution}")
         if int(self.refinement_rounds) < 0:
             raise InputError("refinement_rounds must be >= 0")
-        if int(self.point_cap) < 1:
-            raise InputError("point_cap must be >= 1")
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "refinement_rounds", int(self.refinement_rounds))
-        object.__setattr__(self, "point_cap", int(self.point_cap))
 
 
-def _compositions(total: int, n: int, min_part: int = 0) -> np.ndarray:
-    """All length-n integer vectors >= min_part summing to total, lex order."""
-    shift = total - n * min_part
+def _compositions(total: int, n: int) -> np.ndarray:
+    """All length-n integer vectors >= 1 summing to total, lex order."""
+    shift = total - n
     if shift < 0:
         return np.empty((0, n), dtype=np.int64)
     if n == 1:
@@ -83,7 +84,7 @@ def _compositions(total: int, n: int, min_part: int = 0) -> np.ndarray:
         ],
         axis=1,
     )
-    return np.diff(ext, axis=1) - 1 + min_part
+    return np.diff(ext, axis=1)
 
 
 def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -100,13 +101,6 @@ def _box_point_count(lo: np.ndarray, hi: np.ndarray) -> int:
     return count
 
 
-def _follower_payoff_rows(
-    instance: GameInstance, xa: np.ndarray, step: float, counts: np.ndarray
-) -> np.ndarray:
-    amounts = counts * step
-    return (amounts * instance.values_b / (xa + amounts)).sum(axis=1)
-
-
 def _greedy_box_max(
     instance: GameInstance,
     xa: np.ndarray,
@@ -118,49 +112,25 @@ def _greedy_box_max(
     """Exact maximizer of the follower payoff on a box-constrained simplex.
 
     Each battlefield's payoff c -> (c*step)*v_bj/(x_aj + c*step) is concave
-    in c, so repeatedly granting one unit to the largest marginal increment
-    reaches the true discrete optimum.  Ties break toward the smallest
+    in c, so granting the total - sum(lo) largest marginal increments above
+    lo reaches the true discrete optimum.  Ties break toward the smallest
     battlefield index.
     """
-    vb = instance.values_b
-
-    def gain(j: int, c: int) -> float:
-        a0, a1 = c * step, (c + 1) * step
-        return vb[j] * (a1 / (xa[j] + a1) - a0 / (xa[j] + a0))
-
-    counts = lo.copy()
-    remaining = total - int(counts.sum())
-    heap = [(-gain(j, counts[j]), j) for j in range(len(lo)) if counts[j] < hi[j]]
-    heapq.heapify(heap)
-    while remaining > 0:
-        _, j = heapq.heappop(heap)
-        counts[j] += 1
-        remaining -= 1
-        if counts[j] < hi[j]:
-            heapq.heappush(heap, (-gain(j, counts[j]), j))
-    return counts
-
-
-def _follower_stage_max(
-    instance: GameInstance,
-    xa: np.ndarray,
-    step: float,
-    total: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    grid: GridSpec,
-    boxed: bool,
-) -> np.ndarray:
-    """One search stage: enumerate when affordable, else exact greedy."""
     n = instance.n
-    count = _box_point_count(lo, hi) if boxed else comb(total + n - 1, n - 1)
-    if count > grid.point_cap:
-        return _greedy_box_max(instance, xa, step, total, lo, hi)
-    counts = (
-        _box_compositions(total, lo, hi) if boxed else _compositions(total, n)
-    )
-    payoffs = _follower_payoff_rows(instance, xa, step, counts)
-    return counts[int(np.argmax(payoffs))]
+    width = int((hi - lo).max())
+    if n * width > POINT_CAP:
+        raise InputError(
+            f"follower gain table needs {n * width} entries at resolution "
+            f"{total} with n={n}, over point_cap {POINT_CAP}"
+        )
+    c = lo[:, None] + np.arange(width)
+    a0, a1 = c * step, (c + 1) * step
+    x = xa[:, None]
+    gain = instance.values_b[:, None] * (a1 / (x + a1) - a0 / (x + a0))
+    gain[c >= hi[:, None]] = -np.inf
+    # A stable sort of the C-order table ranks equal gains by battlefield.
+    top = np.argsort(-gain, axis=None, kind="stable")[: total - int(lo.sum())]
+    return lo + np.bincount(top // width, minlength=n)
 
 
 def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) -> np.ndarray:
@@ -186,9 +156,11 @@ def oracle_best_response(
 ) -> tuple[Allocation, float]:
     """Grid-search the follower's reply; returns (allocation, utility).
 
-    Runs a full composition search of budget_b at grid.resolution, then
-    grid.refinement_rounds local passes that shrink the step by 4x inside
-    a +/- 2-step window around the incumbent.
+    Finds the best split of budget_b into grid.resolution units, then runs
+    grid.refinement_rounds local passes that shrink the step by 4x inside a
+    +/- 2-step window around the incumbent.  Every stage is the exact
+    marginal-gain pass of _greedy_box_max, so each returns the optimum
+    over all compositions of its box.
     """
     _check_alloc(instance, leader_alloc, "a")
     xa = leader_alloc.amounts
@@ -199,7 +171,7 @@ def oracle_best_response(
     step = instance.budget_b / total
     lo = np.zeros(instance.n, dtype=np.int64)
     hi = np.full(instance.n, total, dtype=np.int64)
-    counts = _follower_stage_max(instance, xa, step, total, lo, hi, grid, boxed=False)
+    counts = _greedy_box_max(instance, xa, step, total, lo, hi)
 
     for _ in range(grid.refinement_rounds):
         total *= REFINE_FACTOR
@@ -207,11 +179,10 @@ def oracle_best_response(
         center = counts * REFINE_FACTOR
         lo = np.maximum(center - REFINE_HALO, 0)
         hi = np.minimum(center + REFINE_HALO, total)
-        counts = _follower_stage_max(instance, xa, step, total, lo, hi, grid, boxed=True)
+        counts = _greedy_box_max(instance, xa, step, total, lo, hi)
 
-    amounts = counts / total * instance.budget_b
-    utility = float((amounts * instance.values_b / (xa + amounts)).sum())
-    return Allocation(amounts, instance.budget_b), utility
+    alloc = Allocation(counts / total * instance.budget_b, instance.budget_b)
+    return alloc, total_utility(instance, "b", leader_alloc, alloc)
 
 
 def oracle_commitment(
@@ -222,17 +193,17 @@ def oracle_commitment(
     Leader grid entries are floored at one grid step so every point is a
     valid best-response input.  Returns the utility-maximizing leader
     point, its utility, and the follower support it induces.  Raises when
-    the enumeration would exceed grid.point_cap.
+    the enumeration would exceed POINT_CAP.
     """
     n = instance.n
     total = grid.resolution
     count = comb(total - 1, n - 1)
-    if count > grid.point_cap:
+    if count > POINT_CAP:
         raise InputError(
             f"leader grid needs {count} points at resolution {total} with "
-            f"n={n}; raise point_cap (currently {grid.point_cap})"
+            f"n={n}, over point_cap {POINT_CAP}"
         )
-    counts_grid = _compositions(total, n, min_part=1)
+    counts_grid = _compositions(total, n)
     utilities = batch_leader_utilities(
         instance, counts_grid / total * instance.budget_a
     )
@@ -243,20 +214,14 @@ def oracle_commitment(
         center = best * REFINE_FACTOR
         lo = np.maximum(center - REFINE_HALO, 1)
         hi = np.minimum(center + REFINE_HALO, total)
-        if _box_point_count(lo, hi) > grid.point_cap:
-            raise InputError(
-                f"leader refinement box exceeds point_cap {grid.point_cap}"
-            )
+        if _box_point_count(lo, hi) > POINT_CAP:
+            raise InputError(f"leader refinement box exceeds point_cap {POINT_CAP}")
         counts_grid = _box_compositions(total, lo, hi)
         utilities = batch_leader_utilities(
             instance, counts_grid / total * instance.budget_a
         )
         best = counts_grid[int(np.argmax(utilities))]
 
-    amounts = best / total * instance.budget_a
-    alloc = Allocation(amounts, instance.budget_a)
+    alloc = Allocation(best / total * instance.budget_a, instance.budget_a)
     reply = best_response(instance, alloc)
-    utility = float(
-        (amounts * instance.values_a / (amounts + reply.allocation.amounts)).sum()
-    )
-    return alloc, utility, reply.support
+    return alloc, total_utility(instance, "a", alloc, reply.allocation), reply.support

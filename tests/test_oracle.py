@@ -1,5 +1,9 @@
 """Grid-oracle tests: parameter validation, agreement with the closed
-forms, the greedy fallback, refinement, and determinism."""
+forms and with brute-force enumeration, refinement, determinism, and
+pinned outputs."""
+
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from blotto import (
     oracle_commitment,
     total_utility,
 )
-from blotto.oracle import batch_leader_utilities
+from blotto import oracle
+from blotto.oracle import REFINE_FACTOR, REFINE_HALO, batch_leader_utilities
 from conftest import random_instance, random_positive_allocation, worked_example_instance
 
 
@@ -33,10 +38,6 @@ class TestGridSpec:
     def test_negative_refinement_rejected(self):
         with pytest.raises(InputError):
             GridSpec(resolution=100, refinement_rounds=-1)
-
-    def test_zero_point_cap_rejected(self):
-        with pytest.raises(InputError):
-            GridSpec(resolution=100, point_cap=0)
 
     def test_fields_coerced_to_int(self):
         spec = GridSpec(resolution=100.0, refinement_rounds=2.0)
@@ -88,18 +89,49 @@ class TestOracleBestResponse:
         _, fine = oracle_best_response(inst, leader, GridSpec(60, 3))
         assert fine >= coarse - 1e-12
 
-    def test_greedy_fallback_matches_enumeration(self, rng):
-        # comb(62, 2) = 1891 points at resolution 60, so point_cap=50 forces
-        # the greedy pass; both must land on the same grid optimum.
+    def test_matches_brute_force_enumeration(self, rng):
+        # Every composition of the box, scored on raw payoffs; the
+        # marginal-gain pass must land on the same grid optimum, coarse and
+        # after one refinement round.
+        def brute_force(inst, xa, total, lo, hi):
+            boxes = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+            points = [np.array(p) for p in boxes if sum(p) == total]
+            payoffs = [follower_payoff(inst, xa, p / total * inst.budget_b) for p in points]
+            return points[int(np.argmax(payoffs))]
+
         for _ in range(5):
             inst = random_instance(rng, 3)
             leader = random_positive_allocation(rng, 3, inst.budget_a)
-            full, fu = oracle_best_response(inst, leader, GridSpec(60))
-            greedy, gu = oracle_best_response(
-                inst, leader, GridSpec(60, point_cap=50)
+            coarse = brute_force(inst, leader.amounts, 60, [0] * 3, [60] * 3)
+            center = coarse * REFINE_FACTOR
+            refined = brute_force(
+                inst, leader.amounts, 240,
+                np.maximum(center - REFINE_HALO, 0), np.minimum(center + REFINE_HALO, 240),
             )
-            assert gu == pytest.approx(fu, abs=1e-12)
-            np.testing.assert_array_equal(full.amounts, greedy.amounts)
+            for rounds, counts, total in ((0, coarse, 60), (1, refined, 240)):
+                alloc, util = oracle_best_response(inst, leader, GridSpec(60, rounds))
+                np.testing.assert_array_equal(alloc.amounts, counts / total * inst.budget_b)
+                assert util == pytest.approx(
+                    follower_payoff(inst, leader.amounts, alloc.amounts), abs=1e-12
+                )
+
+    def test_never_enumerates_compositions(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the follower search must not enumerate")
+
+        monkeypatch.setattr(oracle, "_compositions", forbidden)
+        monkeypatch.setattr(oracle, "_box_compositions", forbidden)
+        inst = GameInstance(2.0, 3.0, np.array([1.0, 4.0, 2.0]), np.array([3.0, 1.0, 2.0]))
+        leader = Allocation(np.array([0.5, 1.0, 0.5]), 2.0)
+        alloc, _ = oracle_best_response(inst, leader, GridSpec(500, 3))
+        assert alloc.amounts.sum() == pytest.approx(3.0, rel=1e-12)
+
+    def test_gain_table_over_point_cap_raises(self):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        leader = Allocation(np.array([0.5, 0.5]), 1.0)
+        # Two battlefields of POINT_CAP // 2 + 1 units each.
+        with pytest.raises(InputError, match="point_cap"):
+            oracle_best_response(inst, leader, GridSpec(oracle.POINT_CAP // 2 + 1))
 
     def test_rejects_leader_zero_entry(self):
         inst = GameInstance(2.0, 1.0, np.ones(2), np.ones(2))
@@ -171,12 +203,13 @@ class TestOracleCommitment:
         with pytest.raises(InputError, match="point_cap"):
             oracle_commitment(inst, GridSpec(1000))
 
-    def test_refinement_box_overflow_raises(self):
+    def test_refinement_box_overflow_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "POINT_CAP", 1200)
         inst = GameInstance(1.0, 1.0, np.ones(3), np.ones(3))
         # comb(49, 2) = 1176 fits under the cap, but the 17^3-point
         # refinement box does not.
         with pytest.raises(InputError, match="refinement box"):
-            oracle_commitment(inst, GridSpec(50, 1, point_cap=1200))
+            oracle_commitment(inst, GridSpec(50, 1))
 
     def test_refinement_never_hurts(self, rng):
         inst = random_instance(rng, 3)
@@ -198,3 +231,103 @@ class TestOracleCommitment:
         assert util == pytest.approx(
             total_utility(inst, "a", alloc, reply.allocation), rel=1e-12
         )
+
+
+def oracle_case(kind, seed, n):
+    """Instance and positive leader allocation for the pinned tables: `gen`
+    draws U[0.1, 10] like `blotto gen`; `log` draws log-uniform values in
+    1e±3 and budgets in 1e±2."""
+    rng = np.random.default_rng(seed)
+    if kind == "gen":
+        budgets = rng.uniform(0.1, 10.0, 2)
+        va, vb = rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n)
+    else:
+        budgets = 10.0 ** rng.uniform(-2, 2, 2)
+        va, vb = 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n)
+    inst = GameInstance(budgets[0], budgets[1], va, vb)
+    weights = rng.uniform(0.05, 1.0, n)
+    return inst, Allocation(weights / weights.sum() * inst.budget_a, inst.budget_a)
+
+
+def oracle_digest(alloc, utility):
+    h = hashlib.sha256(alloc.amounts.tobytes())
+    h.update(float.hex(utility).encode())
+    return h.hexdigest()[:16]
+
+
+# (kind, seed, n, resolution, refinement_rounds): oracle_digest of
+# oracle_best_response, recorded at 211a016, where the follower search still
+# enumerated compositions below the point cap and ran a heap-based greedy
+# pass above it.  The gen-15, log-115 and (1000, 3) cases reached the heap;
+# every refined R in {2, 7} case and logs 111, 114 and 115 refine a box
+# clipped at 0.
+BEST_RESPONSE_DIGESTS = {
+    ("gen", 0, 1, 2, 0): "38a589380b1190be",
+    ("gen", 1, 2, 2, 1): "9829944224a37986",
+    ("gen", 2, 3, 2, 2): "64de874aff1be474",
+    ("gen", 3, 4, 2, 3): "afc3fd86a489a770",
+    ("gen", 4, 1, 7, 1): "b7a5c9d12e8a6025",
+    ("gen", 5, 2, 7, 2): "db5a81536d2a570e",
+    ("gen", 6, 3, 7, 3): "377ec7751edb08fb",
+    ("gen", 7, 4, 7, 0): "7c92926329192c72",
+    ("gen", 8, 1, 60, 2): "131b71cdacdc63c6",
+    ("gen", 9, 2, 60, 3): "37f81c7acffa4938",
+    ("gen", 10, 3, 60, 0): "6ae655f66a927dd3",
+    ("gen", 11, 4, 60, 1): "8492a1c871908ff7",
+    ("gen", 12, 1, 500, 3): "425af4e724b81729",
+    ("gen", 13, 2, 500, 0): "a47f0f53b5e3da7b",
+    ("gen", 14, 3, 500, 1): "6aac4bc9b6c93c6b",
+    ("gen", 15, 4, 500, 2): "69a5c314b76bd5f5",
+    ("gen", 16, 1, 2, 0): "2d2b7490f5a48eb5",
+    ("gen", 17, 2, 2, 1): "4678bb0e4d148501",
+    ("gen", 18, 3, 2, 2): "0cda828f175c9ad3",
+    ("gen", 19, 4, 2, 3): "c1215003d4c61038",
+    ("gen", 40, 4, 1000, 3): "6d7601a7585b5296",
+    ("log", 100, 1, 2, 0): "1b69469a0cf1f1fe",
+    ("log", 101, 2, 2, 1): "7e84813a3d4575b3",
+    ("log", 102, 3, 2, 2): "4f203df00da852e8",
+    ("log", 103, 4, 2, 3): "e32c8bf2f63a66bd",
+    ("log", 104, 1, 7, 1): "62307bc9674731c3",
+    ("log", 105, 2, 7, 2): "9632d54103dc2361",
+    ("log", 106, 3, 7, 3): "206d3be39d87479d",
+    ("log", 107, 4, 7, 0): "6586286d739fd360",
+    ("log", 108, 1, 60, 2): "ee49b4330928ab6e",
+    ("log", 109, 2, 60, 3): "4c4fc79e0491ab62",
+    ("log", 110, 3, 60, 0): "3c68a51740560d98",
+    ("log", 111, 4, 60, 1): "dc16b4159d3f51df",
+    ("log", 112, 1, 500, 3): "929997a8119787d5",
+    ("log", 113, 2, 500, 0): "37c1d7bd37671eb4",
+    ("log", 114, 3, 500, 1): "41d5e1e3aa415594",
+    ("log", 115, 4, 500, 2): "7dd4540f126755e4",
+    ("log", 116, 1, 2, 0): "474612281d1e6e96",
+    ("log", 117, 2, 2, 1): "97d889a64c04f1cb",
+    ("log", 118, 3, 2, 2): "88b2c16c21c11e23",
+    ("log", 119, 4, 2, 3): "b12152d0e91540f6",
+}
+
+# The same for oracle_commitment's allocation and utility (only the instance
+# of oracle_case is used), recorded at 211a016.
+COMMITMENT_DIGESTS = {
+    ("gen", 0, 2, 60, 0): "d0eda6a1e361c6fa",
+    ("gen", 1, 2, 150, 1): "20b5bee6244ce183",
+    ("gen", 2, 3, 60, 1): "9ec0ac930dd9d565",
+    ("gen", 3, 3, 120, 2): "a87a3e3601124f65",
+    ("log", 100, 2, 100, 1): "bc9cdc5b35276448",
+    ("log", 101, 3, 80, 2): "00d57fadbebb5cd4",
+}
+
+
+class TestPinnedOracleOutputs:
+    @pytest.mark.parametrize("key", sorted(BEST_RESPONSE_DIGESTS))
+    def test_best_response_digest(self, key):
+        kind, seed, n, resolution, rounds = key
+        inst, leader = oracle_case(kind, seed, n)
+        alloc, utility = oracle_best_response(inst, leader, GridSpec(resolution, rounds))
+        assert oracle_digest(alloc, utility) == BEST_RESPONSE_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", sorted(COMMITMENT_DIGESTS))
+    def test_commitment_digest(self, key):
+        kind, seed, n, resolution, rounds = key
+        inst, _ = oracle_case(kind, seed, n)
+        alloc, utility, _ = oracle_commitment(inst, GridSpec(resolution, rounds))
+        assert oracle_digest(alloc, utility) == COMMITMENT_DIGESTS[key]

@@ -68,7 +68,10 @@ def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
     else:
-        Path(output_path).write_text(text)
+        try:
+            Path(output_path).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output_path}: {exc}") from exc
 
 
 def _dump(payload: dict, output_path: str | None) -> None:

@@ -7,9 +7,11 @@ battlefield's value is shared in proportion to the resources invested in
 it.  A battlefield that receives nothing from either side goes entirely to
 the follower.
 
-This module also provides the two utility-preserving game reductions used
-throughout the solvers: splitting one battlefield into equal-value
-sub-battlefields and merging a group of battlefields back together.
+This module also provides the two utility-preserving game reductions of
+the paper: splitting one battlefield into equal-value sub-battlefields and
+merging a group of battlefields back together.  No solver calls them; the
+tests and the acceptance gate use them to check that the solvers respect
+both reductions.
 """
 
 from __future__ import annotations

@@ -7,20 +7,23 @@ simplex and replies with the closed-form best response at every grid
 point (batch_leader_utilities, on the same water-filling kernel as
 best_response), checking the commitment solver end to end.
 
-Both searches work on integer grid units.  The follower's payoff is a sum
-of concave single-battlefield terms, so at every stage, coarse and refined,
-the follower search takes the largest marginal increments of one unit:
-that attains the optimum over all compositions exactly (separable concave
+Both searches work on integer grid units and share one stage loop
+(_grid_search): a coarse stage, then refinement stages, each a box
+lo <= c <= hi of counts summing to the stage's total.  The follower's
+payoff is a sum of concave single-battlefield terms, so in every box the
+follower search takes the largest marginal increments of one unit: that
+attains the optimum over all compositions exactly (separable concave
 resource allocation).  The leader-side search has no such structure and
-enumerates its compositions.  POINT_CAP bounds both players' work: the
-leader's grid points and the follower's table of marginal gains.
+enumerates the compositions of its box (_box_compositions), one
+coordinate at a time.  POINT_CAP bounds both players' work: the rows the
+leader's enumerator builds and the follower's table of marginal gains.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +48,7 @@ REFINE_HALO = 2 * REFINE_FACTOR
 class GridSpec:
     """Grid search parameters: subdivisions per budget and local passes.
 
-    Each search stage is held to POINT_CAP leader grid points or follower
+    Each search stage is held to POINT_CAP leader grid rows or follower
     marginal gains; a stage over it raises InputError.
     """
 
@@ -61,53 +64,38 @@ class GridSpec:
         object.__setattr__(self, "refinement_rounds", int(self.refinement_rounds))
 
 
-def _compositions(total: int, n: int) -> np.ndarray:
-    """All length-n integer vectors >= 1 summing to total, lex order."""
-    shift = total - n
-    if shift < 0:
-        return np.empty((0, n), dtype=np.int64)
-    if n == 1:
-        return np.array([[total]], dtype=np.int64)
-    m = comb(shift + n - 1, n - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(shift + n - 1), n - 1)
-        ),
-        dtype=np.int64,
-        count=m * (n - 1),
-    ).reshape(m, n - 1)
-    ext = np.concatenate(
-        [
-            np.full((m, 1), -1, dtype=np.int64),
-            bars,
-            np.full((m, 1), shift + n - 1, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    return np.diff(ext, axis=1)
-
-
 def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integer vectors with lo <= c <= hi and sum(c) == total, lex order."""
-    grids = np.meshgrid(*(np.arange(l, h + 1) for l, h in zip(lo, hi)), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[pts.sum(axis=1) == total]
+    """Integer vectors with lo <= c <= hi and sum(c) == total, lex order.
 
-
-def _box_point_count(lo: np.ndarray, hi: np.ndarray) -> int:
-    count = 1
-    for l, h in zip(lo, hi):
-        count *= int(h - l + 1)
-    return count
+    Rows grow one coordinate at a time, and only prefixes that can still
+    reach total are kept.  Every kept prefix completes to at least one row,
+    so no stage is larger than the result, and a stage over POINT_CAP
+    raises InputError before it is built.
+    """
+    n = len(lo)
+    # rest_lo[j], rest_hi[j]: bounds on the sum of coordinates after j.
+    rest_lo = np.append(np.cumsum(lo[::-1])[::-1][1:], 0)
+    rest_hi = np.append(np.cumsum(hi[::-1])[::-1][1:], 0)
+    cols: list[np.ndarray] = []
+    sums = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        first = np.maximum(lo[j], total - sums - rest_hi[j])
+        width = np.clip(np.minimum(hi[j], total - sums - rest_lo[j]) - first + 1, 0, None)
+        count = int(width.sum())
+        if count > POINT_CAP:
+            raise InputError(
+                f"leader grid needs at least {count} points at resolution "
+                f"{total} with n={n}, over point_cap {POINT_CAP}"
+            )
+        parent = np.repeat(np.arange(len(sums)), width)
+        col = first[parent] + np.arange(count) - np.repeat(np.cumsum(width) - width, width)
+        cols = [c[parent] for c in cols] + [col]
+        sums = sums[parent] + col
+    return np.stack(cols, axis=1)
 
 
 def _greedy_box_max(
-    instance: GameInstance,
-    xa: np.ndarray,
-    step: float,
-    total: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    instance: GameInstance, xa: np.ndarray, total: int, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Exact maximizer of the follower payoff on a box-constrained simplex.
 
@@ -117,6 +105,7 @@ def _greedy_box_max(
     battlefield index.
     """
     n = instance.n
+    step = instance.budget_b / total
     width = int((hi - lo).max())
     if n * width > POINT_CAP:
         raise InputError(
@@ -131,6 +120,31 @@ def _greedy_box_max(
     # A stable sort of the C-order table ranks equal gains by battlefield.
     top = np.argsort(-gain, axis=None, kind="stable")[: total - int(lo.sum())]
     return lo + np.bincount(top // width, minlength=n)
+
+
+def _grid_search(
+    n: int, grid: GridSpec, floor: int, best_in_box: Callable[..., np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """Coarse stage, then grid.refinement_rounds refinement stages.
+
+    Every stage is a box lo <= c <= hi of integer counts summing to total;
+    best_in_box(total, lo, hi) returns the stage's best counts.  The coarse
+    stage is the box [floor, resolution].  Each refinement multiplies total
+    by REFINE_FACTOR and searches +/- REFINE_HALO new units around the
+    scaled incumbent, clipped to [floor, total].  Returns the last stage's
+    counts and total.
+    """
+    total = grid.resolution
+    lo = np.full(n, floor, dtype=np.int64)
+    hi = np.full(n, total, dtype=np.int64)
+    counts = best_in_box(total, lo, hi)
+    for _ in range(grid.refinement_rounds):
+        total *= REFINE_FACTOR
+        center = counts * REFINE_FACTOR
+        lo = np.maximum(center - REFINE_HALO, floor)
+        hi = np.minimum(center + REFINE_HALO, total)
+        counts = best_in_box(total, lo, hi)
+    return counts, total
 
 
 def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) -> np.ndarray:
@@ -156,31 +170,16 @@ def oracle_best_response(
 ) -> tuple[Allocation, float]:
     """Grid-search the follower's reply; returns (allocation, utility).
 
-    Finds the best split of budget_b into grid.resolution units, then runs
-    grid.refinement_rounds local passes that shrink the step by 4x inside a
-    +/- 2-step window around the incumbent.  Every stage is the exact
-    marginal-gain pass of _greedy_box_max, so each returns the optimum
-    over all compositions of its box.
+    Splits budget_b into grid.resolution units, then refines
+    grid.refinement_rounds times (see _grid_search).  Every stage of _grid_search is the exact marginal-gain pass of
+    _greedy_box_max, so each returns the optimum over all compositions of
+    its box.
     """
     _check_alloc(instance, leader_alloc, "a")
     xa = leader_alloc.amounts
     if np.any(xa <= 0):
         raise PreconditionError("oracle_best_response needs positive leader entries")
-
-    total = grid.resolution
-    step = instance.budget_b / total
-    lo = np.zeros(instance.n, dtype=np.int64)
-    hi = np.full(instance.n, total, dtype=np.int64)
-    counts = _greedy_box_max(instance, xa, step, total, lo, hi)
-
-    for _ in range(grid.refinement_rounds):
-        total *= REFINE_FACTOR
-        step /= REFINE_FACTOR
-        center = counts * REFINE_FACTOR
-        lo = np.maximum(center - REFINE_HALO, 0)
-        hi = np.minimum(center + REFINE_HALO, total)
-        counts = _greedy_box_max(instance, xa, step, total, lo, hi)
-
+    counts, total = _grid_search(instance.n, grid, 0, partial(_greedy_box_max, instance, xa))
     alloc = Allocation(counts / total * instance.budget_b, instance.budget_b)
     return alloc, total_utility(instance, "b", leader_alloc, alloc)
 
@@ -191,37 +190,26 @@ def oracle_commitment(
     """Grid-search the leader's commitment; follower replies in closed form.
 
     Leader grid entries are floored at one grid step so every point is a
-    valid best-response input.  Returns the utility-maximizing leader
-    point, its utility, and the follower support it induces.  Raises when
-    the enumeration would exceed POINT_CAP.
+    valid best-response input.  Each stage enumerates the compositions of
+    its box (_box_compositions, held to POINT_CAP rows) and keeps the first
+    one of highest utility.  Returns the utility-maximizing leader point,
+    its utility, and the follower support it induces.  Raises InputError
+    when the resolution is below n (no grid point) or a stage would pass
+    POINT_CAP.
     """
     n = instance.n
-    total = grid.resolution
-    count = comb(total - 1, n - 1)
-    if count > POINT_CAP:
+    if grid.resolution < n:
         raise InputError(
-            f"leader grid needs {count} points at resolution {total} with "
-            f"n={n}, over point_cap {POINT_CAP}"
+            f"leader grid at resolution {grid.resolution} has no point with "
+            f"n={n}: every battlefield needs at least one unit"
         )
-    counts_grid = _compositions(total, n)
-    utilities = batch_leader_utilities(
-        instance, counts_grid / total * instance.budget_a
-    )
-    best = counts_grid[int(np.argmax(utilities))]
 
-    for _ in range(grid.refinement_rounds):
-        total *= REFINE_FACTOR
-        center = best * REFINE_FACTOR
-        lo = np.maximum(center - REFINE_HALO, 1)
-        hi = np.minimum(center + REFINE_HALO, total)
-        if _box_point_count(lo, hi) > POINT_CAP:
-            raise InputError(f"leader refinement box exceeds point_cap {POINT_CAP}")
-        counts_grid = _box_compositions(total, lo, hi)
-        utilities = batch_leader_utilities(
-            instance, counts_grid / total * instance.budget_a
-        )
-        best = counts_grid[int(np.argmax(utilities))]
+    def best_in_box(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        rows = _box_compositions(total, lo, hi)
+        utilities = batch_leader_utilities(instance, rows / total * instance.budget_a)
+        return rows[int(np.argmax(utilities))]
 
+    best, total = _grid_search(n, grid, 1, best_in_box)
     alloc = Allocation(best / total * instance.budget_a, instance.budget_a)
     reply = best_response(instance, alloc)
     return alloc, total_utility(instance, "a", alloc, reply.allocation), reply.support

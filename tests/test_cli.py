@@ -296,6 +296,15 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload["checks_failed"]
 
+    def test_resolution_below_n_exits_2(self, tmp_path, capsys):
+        # Every leader grid entry is at least one unit: four battlefields
+        # do not fit in three units.
+        code, instance = run_to_file(tmp_path, "g.json", ["gen", "--n", "4", "--seed", "0"])
+        assert code == 0
+        code = main(["verify", "--instance", str(instance), "--resolution", "3"])
+        assert code == 2
+        assert "resolution 3 has no point with n=4" in capsys.readouterr().err
+
 
     # Valid n=3 instance whose near-optimal grid point has the non-prefix
     # support [0, 2] while the solver beats the grid (16.253951 vs 16.253923).
@@ -363,6 +372,16 @@ class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-nash", "--instance", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--n", "2", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        path = worked_example_json(tmp_path, 2.0)
+        assert main(["solve-commitment", "--instance", path, "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
 
     def test_negative_value_rejected(self, tmp_path, capsys):
         path = write_json(

@@ -4,6 +4,7 @@ pinned outputs."""
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,7 +120,6 @@ class TestOracleBestResponse:
         def forbidden(*args):
             raise AssertionError("the follower search must not enumerate")
 
-        monkeypatch.setattr(oracle, "_compositions", forbidden)
         monkeypatch.setattr(oracle, "_box_compositions", forbidden)
         inst = GameInstance(2.0, 3.0, np.array([1.0, 4.0, 2.0]), np.array([3.0, 1.0, 2.0]))
         leader = Allocation(np.array([0.5, 1.0, 0.5]), 2.0)
@@ -145,6 +145,39 @@ class TestOracleBestResponse:
         a2, u2 = oracle_best_response(inst, leader, GridSpec(80, 1))
         np.testing.assert_array_equal(a1.amounts, a2.amounts)
         assert u1 == u2
+
+
+class TestBoxCompositions:
+    @staticmethod
+    def reference(total, lo, hi):
+        boxes = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        return np.array([p for p in boxes if sum(p) == total], dtype=np.int64).reshape(-1, len(lo))
+
+    def test_matches_itertools_rows_and_order(self, rng):
+        for i in range(400):
+            n = int(rng.integers(1, 6))
+            if i % 4 == 0:  # a coarse leader stage
+                total = int(rng.integers(n, 14))
+                lo, hi = np.ones(n, dtype=np.int64), np.full(n, total, dtype=np.int64)
+            else:
+                lo = rng.integers(0, 12, n)
+                hi = lo + rng.integers(0, 7, n)
+                if i % 4 == 1:  # clipped at the floor, like a refined stage
+                    lo = np.maximum(lo - 6, 1)
+                # Totals just outside [sum(lo), sum(hi)] have no rows.
+                total = int(rng.integers(lo.sum() - 2, hi.sum() + 3))
+            rows = oracle._box_compositions(total, lo, hi)
+            np.testing.assert_array_equal(rows, self.reference(total, lo, hi))
+            assert rows.shape[1] == n
+
+    def test_cap_counts_rows_not_box_volume(self, monkeypatch):
+        # A 41^3 box holds 68921 points, but only 861 of them sum to 40.
+        lo, hi = np.zeros(3, dtype=np.int64), np.full(3, 40, dtype=np.int64)
+        monkeypatch.setattr(oracle, "POINT_CAP", 861)
+        assert len(oracle._box_compositions(40, lo, hi)) == 861
+        monkeypatch.setattr(oracle, "POINT_CAP", 860)
+        with pytest.raises(InputError, match="point_cap 860"):
+            oracle._box_compositions(40, lo, hi)
 
 
 class TestBatchLeaderUtilities:
@@ -204,12 +237,38 @@ class TestOracleCommitment:
             oracle_commitment(inst, GridSpec(1000))
 
     def test_refinement_box_overflow_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "POINT_CAP", 1200)
-        inst = GameInstance(1.0, 1.0, np.ones(3), np.ones(3))
-        # comb(49, 2) = 1176 fits under the cap, but the 17^3-point
-        # refinement box does not.
-        with pytest.raises(InputError, match="refinement box"):
-            oracle_commitment(inst, GridSpec(50, 1))
+        monkeypatch.setattr(oracle, "POINT_CAP", 1000)
+        inst = GameInstance(1.0, 1.0, np.ones(5), np.ones(5))
+        # The coarse stage has comb(7, 4) = 35 rows; the refined stage at
+        # total 32 has 19653, though its box would hold 17^5 points.
+        oracle_commitment(inst, GridSpec(8))
+        with pytest.raises(InputError, match="resolution 32 with n=5, over point_cap 1000"):
+            oracle_commitment(inst, GridSpec(8, 1))
+
+    @pytest.mark.parametrize("resolution, n", [(3, 4), (2, 3), (4, 5)])
+    def test_resolution_below_n_raises(self, resolution, n):
+        # Every leader grid entry is at least one unit, so no grid point
+        # exists when the resolution is below n.
+        inst = GameInstance(1.0, 1.0, np.ones(n), np.ones(n))
+        with pytest.raises(InputError, match=f"resolution {resolution} has no point with n={n}"):
+            oracle_commitment(inst, GridSpec(resolution))
+
+    def test_resolution_equal_to_n_has_one_point(self):
+        inst = GameInstance(4.0, 1.0, np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+        alloc, _, _ = oracle_commitment(inst, GridSpec(4))
+        np.testing.assert_array_equal(alloc.amounts, np.ones(4))
+
+    def test_memory_stays_below_the_box_volume(self):
+        # At n=5 each refined box spans 17^5 = 1.4e6 points; only the rows
+        # that sum to the stage total may be built.
+        inst = random_instance(np.random.default_rng(0), 5)
+        tracemalloc.start()
+        try:
+            oracle_commitment(inst, GridSpec(20, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_refinement_never_hurts(self, rng):
         inst = random_instance(rng, 3)

@@ -11,16 +11,22 @@ response, is dropped; when no root survives, solve_nash raises
 SolverInvariantError.
 
 The scan samples f at SCAN_CELLS + 1 points.  It evaluates them in row
-blocks of at most _SCAN_BLOCK_ELEMENTS (mu, h) pairs, or one row when n
-is larger, that reuse two preallocated buffers.  Its working memory is
-two such blocks (1 MiB up to n = 65536), not SCAN_CELLS * n floats.  The
-scan is sampled, not certified: two roots inside one cell leave no sign
-change and are both missed.
+blocks that reuse two preallocated buffers per worker thread.  A scan of
+at least _SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs (n >= 64) is split into
+one contiguous slice of rows per CPU in the process's affinity set; a
+smaller one runs on the caller's thread.  The workers share one budget of
+_SCAN_BLOCK_ELEMENTS pairs per buffer, so the buffers total about 1 MiB
+at any CPU count (one row per buffer and worker once a share holds less
+than a row), not SCAN_CELLS * n floats.  Every worker runs under the
+caller's numpy error state, and the values are bit for bit those of one
+thread.  The scan is sampled, not certified: two roots inside one cell
+leave no sign change and are both missed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +43,13 @@ from .game_core import (
 # Number of scan cells used to bracket sign changes of f on the interval.
 SCAN_CELLS = 4096
 # (mu, h) pairs the scan evaluates at a time (at least one row of n); its
-# working memory is two float64 buffers of this size (512 KiB each).
+# working memory is two float64 buffers of this size (512 KiB each),
+# shared out among the scan's threads.
 _SCAN_BLOCK_ELEMENTS = 65536
+# Smallest scan split across threads (n >= 64 at SCAN_CELLS).  Smaller
+# scans take under about 1.5 ms on one CPU and stay on the caller's thread,
+# so small solves start no thread.
+_SCAN_THREAD_MIN_ELEMENTS = 4 * _SCAN_BLOCK_ELEMENTS
 # Relative tolerance on the located root.
 ROOT_RTOL = 1e-12
 # Mutual-best-response acceptance tolerance (relative to each budget).
@@ -67,37 +78,72 @@ def nash_poly(instance: GameInstance, mu: float) -> float:
     """Evaluate f(mu) = sum_h v_bh * mu * (mu - rho_h * r) * prod_{j != h}
     (mu + rho_j)^2 in product form (no coefficient expansion)."""
     mu = float(mu)
-    if mu <= 0:
-        raise InputError(f"nash_poly requires mu > 0, got {mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise InputError(f"nash_poly requires a finite mu > 0, got {mu}")
     return float(_poly_values(instance, np.array([mu]))[0])
 
 
+def _scan_workers(elements: int) -> int:
+    """Threads for a scan of `elements` (mu, h) pairs: one per CPU in this
+    process's affinity set, at most one per _SCAN_BLOCK_ELEMENTS, and one
+    below _SCAN_THREAD_MIN_ELEMENTS.  The only place the count is decided."""
+    if elements < _SCAN_THREAD_MIN_ELEMENTS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        cpus = os.cpu_count() or 1
+    return min(cpus, -(-elements // _SCAN_BLOCK_ELEMENTS))
+
+
 def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
-    """nash_poly over a vector of mu values, _SCAN_BLOCK_ELEMENTS (mu, h)
-    pairs at a time.  Each row only depends on its own mu, and a reduction
-    along a C-contiguous row does not depend on the rows beside it, so the
-    result is bit for bit that of one call per mu."""
+    """nash_poly over a vector of mu values.  The rows are split into one
+    contiguous slice per worker (_scan_workers); each worker evaluates its
+    slice in blocks of its share of _SCAN_BLOCK_ELEMENTS (mu, h) pairs, at
+    least one row, under the caller's numpy error state.  Each row only
+    depends on its own mu, and a reduction along a C-contiguous row does
+    not depend on the rows beside it, so the result is bit for bit that of
+    one call per mu, at any worker count.  An exception in a worker is
+    raised here once every worker has stopped."""
     rho = instance.values_b / instance.values_a
     r = instance.budget_a / instance.budget_b
     rho_r = rho * r
-    rows = max(1, _SCAN_BLOCK_ELEMENTS // rho.size)
-    squares = np.empty((min(rows, mus.size), rho.size))
-    terms = np.empty_like(squares)
+    workers = max(1, min(_scan_workers(mus.size * rho.size), mus.size))
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // (workers * rho.size))
     out = np.empty(mus.size)
-    for start in range(0, mus.size, rows):
-        # The recorded reports depend on this exact operation order:
-        # (v_b * (mu - rho * r) * full) / squares, never
-        # terms * (full / squares), which rounds differently.
-        mu = mus[start : start + rows]
-        sq, tm = squares[: mu.size], terms[: mu.size]
-        np.add(mu[:, None], rho, out=sq)  # strictly positive
-        np.square(sq, out=sq)
-        full = sq.prod(axis=1, keepdims=True)
-        np.subtract(mu[:, None], rho_r, out=tm)
-        np.multiply(instance.values_b, tm, out=tm)
-        np.multiply(tm, full, out=tm)
-        np.divide(tm, sq, out=tm)
-        np.multiply(mu, tm.sum(axis=1), out=out[start : start + mu.size])
+    errors, errcall = np.geterr(), np.geterrcall()
+
+    def scan(lo: int, hi: int) -> None:
+        squares = np.empty((min(rows, hi - lo), rho.size))
+        terms = np.empty_like(squares)
+        with np.errstate(call=errcall, **errors):
+            for start in range(lo, hi, rows):
+                # The recorded reports depend on this exact operation order:
+                # (v_b * (mu - rho * r) * full) / squares, never
+                # terms * (full / squares), which rounds differently.
+                mu = mus[start : min(start + rows, hi)]
+                sq, tm = squares[: mu.size], terms[: mu.size]
+                np.add(mu[:, None], rho, out=sq)  # strictly positive
+                np.square(sq, out=sq)
+                full = sq.prod(axis=1, keepdims=True)
+                np.subtract(mu[:, None], rho_r, out=tm)
+                np.multiply(instance.values_b, tm, out=tm)
+                np.multiply(tm, full, out=tm)
+                np.divide(tm, sq, out=tm)
+                np.multiply(mu, tm.sum(axis=1), out=out[start : start + mu.size])
+
+    if workers == 1:
+        scan(0, mus.size)
+        return out
+    # Imported here so that small solves, such as every CLI run at n < 64,
+    # never pay for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [mus.size * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(scan, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for future in futures:  # the first slice's exception, as one thread would raise
+        future.result()
     return out
 
 
@@ -191,7 +237,10 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     reconstructed profiles are valid allocations and mutual best responses,
     and among those returns the one with the highest leader utility.  The
     scan evaluates f in row blocks (see _poly_values), so its memory stays
-    bounded at any n.  It is sampled: two roots inside one cell cancel out
+    bounded at any n.  From n = 64 it uses one thread per CPU in the
+    process's affinity set, sharing that memory budget, with results
+    identical to one thread; restrict the CPUs with `taskset` to use
+    fewer.  It is sampled: two roots inside one cell cancel out
     and are not located, so "highest leader utility" ranges over the
     located roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does

@@ -31,6 +31,7 @@ from blotto.commitment import (
     solve_case2_partial_support,
     threshold_allocation_outside_support,
 )
+from blotto.cli import VERIFY_COMMIT_ATOL
 from blotto.game_core import BUDGET_SUM_RTOL
 from conftest import random_instance, worked_example_instance
 
@@ -494,9 +495,42 @@ def _prefix_corpus(kind, count=60):
             yield GameInstance(*budgets, 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n))
 
 
+# Log-uniform n=5 instances with a high x_a/x_b on which neither fact of
+# TestPrefixRange holds: (instance, valid prefixes, least margin by which
+# the k=1 candidate beats the largest valid prefix).
+PREFIX_COUNTEREXAMPLES = [
+    (
+        GameInstance(
+            budget_a=3.6434933310167374,
+            budget_b=0.06335535229192085,
+            values_a=np.array([133.04870912256496, 0.005184537995444405, 0.017886705202477225,
+                               0.05107091441026243, 2.1793457803543754]),
+            values_b=np.array([0.0021471939357543194, 3.6892462343565176, 63.12675205499277,
+                               0.03142404186269705, 465.73005885794794]),
+        ),
+        [1, 3],
+        VERIFY_COMMIT_ATOL,
+    ),
+    (
+        GameInstance(
+            budget_a=8.764602760039214,
+            budget_b=0.16090813863709555,
+            values_a=np.array([0.010135480382496497, 34.60587820349428, 0.009886072125666156,
+                               328.6511143108929, 3.8006425321444803]),
+            values_b=np.array([0.09475555446197555, 416.7340050929224, 0.008526712730697246,
+                               1.2212315797673594, 0.0035426189327932233]),
+        ),
+        [1, 2],
+        0.0,
+    ),
+]
+
+
 class TestPrefixRange:
     """The two facts a search over k would rest on, checked against a full
-    enumeration of the prefix candidates."""
+    enumeration of the prefix candidates: the valid prefixes are contiguous
+    and the largest one wins.  Both hold on this 120-instance corpus only;
+    PREFIX_COUNTEREXAMPLES break each of them."""
 
     @pytest.mark.parametrize("kind", ["gen", "log-uniform"])
     def test_valid_prefixes_are_contiguous_and_the_largest_wins(self, kind):
@@ -508,6 +542,19 @@ class TestPrefixRange:
             ]
             assert valid == list(range(valid[0], valid[-1] + 1))
             assert len(optimal_commitment(inst).support) == valid[-1]
+
+    @pytest.mark.parametrize("inst, valid, margin", PREFIX_COUNTEREXAMPLES)
+    def test_counterexample_is_won_by_the_smallest_prefix(self, inst, valid, margin):
+        canon, ordering = canonical_ordering(inst)
+        candidates = {
+            k: _prefix_candidate(canon, ordering.ratios, k)[0] for k in range(1, inst.n + 1)
+        }
+        assert [k for k, cand in candidates.items() if cand is not None] == valid
+        best, largest = candidates[1], candidates[valid[-1]]
+        assert best.leader_utility - largest.leader_utility > margin
+        sol = optimal_commitment(inst)
+        assert (sol.case_tag, len(sol.support)) == ("CASE_1", 1)
+        assert sol.leader_utility == best.leader_utility
 
 
 def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):

@@ -51,8 +51,9 @@ class TestNashPoly:
 
     def test_rejects_nonpositive_mu(self):
         inst = worked_example_instance(1.0)
-        with pytest.raises(InputError):
-            nash_poly(inst, 0.0)
+        for mu in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                nash_poly(inst, mu)
 
 
 class TestSolveNash:
@@ -340,6 +341,11 @@ PINNED_DIGESTS = {
 }
 
 
+# Scan thread counts the tests force through nash._scan_workers, whatever
+# the host's CPU count.
+FORCED_WORKERS = (1, 2, 4)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestLargeN:
@@ -349,33 +355,61 @@ class TestLargeN:
         assert _outcome_digest(inst) == PINNED_DIGESTS[n, seed]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 513, 2049, 70000])
-    def test_scan_blocks_match_single_point_evaluations(self, n):
-        # Grid lengths are not a multiple of the block's row count; at
-        # n=70000 one row alone exceeds the element budget.
+    def test_scan_blocks_match_single_point_evaluations(self, monkeypatch, n):
+        # Grid lengths are not a multiple of a worker's block row count; at
+        # n=70000 one row alone exceeds the element budget.  The worker
+        # count is forced, so the threaded path runs on any host.
         inst = random_instance(np.random.default_rng(n), n)
         rho_r = inst.values_b / inst.values_a * (inst.budget_a / inst.budget_b)
         length = 3 if n > nash._SCAN_BLOCK_ELEMENTS else nash.SCAN_CELLS + 1
-        rows = max(1, nash._SCAN_BLOCK_ELEMENTS // n)
-        assert rows == 1 or length % rows
         grid = np.linspace(0.5 * rho_r.min(), 2.0 * rho_r.max(), length)
-        blocked = nash._poly_values(inst, grid)
         single = np.array([nash_poly(inst, mu) for mu in grid])
-        assert np.array_equal(blocked, single, equal_nan=True)
-        assert np.array_equal(np.signbit(blocked), np.signbit(single))
+        for workers in FORCED_WORKERS:
+            rows = max(1, nash._SCAN_BLOCK_ELEMENTS // (workers * n))
+            assert rows == 1 or length % rows
+            monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+            blocked = nash._poly_values(inst, grid)
+            assert np.array_equal(blocked, single, equal_nan=True), workers
+            assert np.array_equal(np.signbit(blocked), np.signbit(single)), workers
 
-    def test_scan_memory_is_bounded(self):
+    def test_scan_memory_is_bounded(self, monkeypatch):
         # The unblocked scan held about 256 MB of (4097 x n) temporaries
-        # at n=2048; the blocked one reuses two small row-block buffers.
+        # at n=2048; the blocked one reuses small row-block buffers whose
+        # total the workers share.
         inst = random_instance(np.random.default_rng(0), 2048)
-        tracemalloc.start()
-        try:
-            solve_nash(inst)
-        except SolverInvariantError:  # the product form overflows at n=2048
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        for workers in FORCED_WORKERS:
+            monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+            tracemalloc.start()
+            try:
+                solve_nash(inst)
+            except SolverInvariantError:  # the product form overflows at n=2048
+                pass
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, workers
+
+    @pytest.mark.parametrize("workers", FORCED_WORKERS)
+    def test_worker_fault_reaches_the_caller(self, monkeypatch, workers):
+        # Only the last row overflows ((mu + rho)^2 at mu=1e200), and it
+        # belongs to the last worker, which must run under the caller's
+        # error state and raise here rather than leave its slice unfilled.
+        monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+        inst = worked_example_instance(1.0)
+        grid = np.append(np.linspace(0.5, 2.0, 63), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = nash._poly_values(inst, grid)
+        assert np.isfinite(values[:-1]).all() and not np.isfinite(values[-1])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            nash._poly_values(inst, grid)
+
+    def test_worker_count_follows_scan_size_and_affinity(self, monkeypatch):
+        monkeypatch.setattr(nash.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        cells = nash.SCAN_CELLS + 1
+        assert nash._scan_workers(cells * 16) == 1  # every CLI-sized solve
+        assert nash._scan_workers(nash._SCAN_THREAD_MIN_ELEMENTS - 1) == 1
+        assert nash._scan_workers(cells * 64) == 5  # one per block of the budget
+        assert nash._scan_workers(cells * 2048) == 8
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -16,14 +16,18 @@ Each prefix falls into one of three cases:
   the y-quadratic (the budget identity picks y) and the off-support
   battlefields parked exactly at the follower's indifference threshold.
   The alpha range is truncated at a radius that up to
-  TRUNCATION_EXTENSIONS further passes widen.  Each pass scans the reduced
-  objective u_hat(alpha) at SCAN_SAMPLES points on every feasible interval,
-  as one numpy array, and that scan alone decides whether the objective
-  still climbs at a truncated end, so whether another pass follows.  Only
-  the pass that ends the loop is refined: golden-section search around the
-  best samples evaluates the same formula on Python floats.  alpha**2
-  rounds differently on the two (an array squares, a float calls C pow),
-  which is why the refinement is not batched into arrays.
+  TRUNCATION_EXTENSIONS further passes widen.  A pass samples the reduced
+  objective u_hat(alpha) at SCAN_SAMPLES points on every feasible
+  interval, and another pass follows while the objective still climbs at
+  a truncated end.  That test reads only the two samples next to each
+  truncated end, so one small array probes those samples for every radius
+  at once, and only the pass that ends the loop is scanned in full, as one
+  numpy array.  (A climbing end whose two samples are both not finite
+  needs its pass's full scan to decide.)  Only that pass is refined:
+  golden-section search around the best samples evaluates the same
+  formula on Python floats.  alpha**2 rounds differently on the two (an
+  array squares, a float calls C pow), which is why the refinement is not
+  batched into arrays.
 
 CASE_1 and CASE_2_2 park the battlefields outside K with one threshold
 formula, _threshold_scale, which threshold_allocation_outside_support also
@@ -103,9 +107,10 @@ class CaseCoefficients:
     """Partial value sums over support prefix k (K = the first k
     battlefields) and the six polynomial coefficients built from them.
 
-    phi1 and phi2 are the two quadratics in the alpha parameter that drive
-    the CASE_2_2 reconstruction: phi2 >= 0 marks where y is real, and phi1
-    enters the y root.
+    B1-B3 and B4-B6 are the coefficients of phi1 and phi2, the two
+    quadratics in the alpha parameter that drive the CASE_2_2
+    reconstruction: phi2 >= 0 marks where y is real, and phi1 enters the y
+    root.
     """
 
     v_aK: float
@@ -139,12 +144,6 @@ class CaseCoefficients:
             B5=8 * x_b * (x_a + x_b) * v_aK * v_bKbar - 2 * x_a**2 * v_aK * v_bK,
             B6=x_a**2 * v_aK**2 - 4 * x_b * (x_a + x_b) * c_K * v_bKbar,
         )
-
-    def phi1(self, theta):
-        return (self.B1 * theta + self.B2) * theta + self.B3
-
-    def phi2(self, theta):
-        return (self.B4 * theta + self.B5) * theta + self.B6
 
 
 def _threshold_scale(budget_b: float, spend: np.ndarray, vb_on_K: np.ndarray) -> float:
@@ -336,6 +335,38 @@ def _phi2_nonneg_intervals(
     return [(l, h) for l, h in pieces if l < h]
 
 
+def _linspace_columns(lows: np.ndarray, highs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns cols of np.linspace(lo, hi, SCAN_SAMPLES), bit for bit, for
+    every pair (lo, hi) of lows and highs, as one (pairs, len(cols)) array.
+
+    cols holds ascending sample indices, as floats, ending with the last
+    one.  linspace puts sample i at i * step + lo, with step = (hi - lo) /
+    (SCAN_SAMPLES - 1), or at i / (SCAN_SAMPLES - 1) * (hi - lo) + lo where
+    step underflows to 0, and the last sample at hi.  Given arrays,
+    np.linspace takes the second form for every pair once one pair needs
+    it, so the rows are built here.
+    """
+    div = SCAN_SAMPLES - 1
+    delta = highs - lows
+    step = delta / div
+    out = cols * step[:, None]
+    zero = step == 0
+    if zero.any():
+        out[zero] = cols / div * delta[zero, None]
+    out += lows[:, None]
+    out[:, -1] = highs
+    return out
+
+
+def _climbing(lows, highs, radius, ends: np.ndarray) -> np.ndarray:
+    """Per interval (lows, highs) of a pass at radius: does u_hat still
+    climb toward a truncated end?  ends holds each interval's samples
+    [0, 1, -2, -1]; radius is one float, or one per interval."""
+    return ((lows == -radius) & (ends[:, 0] >= ends[:, 1])) | (
+        (highs == radius) & (ends[:, 3] >= ends[:, 2])
+    )
+
+
 def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSolution | None:
     """Proper support prefix k (k < n) with at least two distinct ratios
     inside K.
@@ -348,12 +379,20 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
 
     The search runs in up to TRUNCATION_EXTENSIONS + 1 passes over
     |alpha| <= radius, the radius growing by TRUNCATION_GROWTH each time.
-    A pass first scans all of its phi2 >= 0 intervals as one
-    (intervals, SCAN_SAMPLES) array, then decides from that scan alone
-    whether the objective still climbs at a truncated end.  If it does, and
-    passes remain, a wider pass follows.  Only the pass that ends the loop
-    is refined, interval by interval in order (left region, then right),
-    with _golden_max around each sample that beats the best value so far.
+    Each pass samples its phi2 >= 0 intervals at SCAN_SAMPLES points
+    apiece.  A wider pass follows while an interval with a finite sample
+    still climbs at a truncated end: its sample at that end is at least
+    the sample next to it.  That test reads only those two samples, so the
+    intervals of every radius are found first (up to the first radius at
+    which none reaches a truncated end), and one small scan evaluates the
+    end samples of every pass but the last.  They settle which pass ends
+    the loop, and only that pass is scanned in full, as one
+    (intervals, SCAN_SAMPLES) array.  The exception is an end that climbs
+    on two samples of which neither is finite: whether its interval has a
+    finite sample then decides, so its pass is scanned in full to tell.
+    The pass that ends the loop is refined, interval by interval in order
+    (left region, then right), with _golden_max around each sample that
+    beats the best value so far.
     """
     co = CaseCoefficients.from_instance(instance, k)
     x_b = instance.budget_b
@@ -361,6 +400,8 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
     ratios_K = va[:k] / vb[:k]
     rho_lo, rho_hi = float(ratios_K.min()), float(ratios_K.max())
 
+    B1, B2, B3, B4, B5, B6 = co.B1, co.B2, co.B3, co.B4, co.B5, co.B6
+    c_K, v_aK, v_bK = co.c_K, co.v_aK, co.v_bK
     two_xb2_vbar = 2 * x_b**2 * co.v_bKbar
 
     def terms(alpha, root):
@@ -371,14 +412,14 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
         # differ in the last bit on about 0.1% of inputs.  So the refinement
         # is not batched into arrays: a last-bit change in one u_hat value
         # can flip a golden-section comparison and move alpha.
-        y = (co.phi1(alpha) - (co.v_aK - co.v_bK * alpha) * root) / two_xb2_vbar
-        num = (co.c_K - alpha * co.v_aK) * (co.v_aK - alpha * co.v_bK)
-        den = y * x_b + (co.c_K - 2 * alpha * co.v_aK + alpha**2 * co.v_bK)
+        y = ((B1 * alpha + B2) * alpha + B3 - (v_aK - v_bK * alpha) * root) / two_xb2_vbar
+        num = (c_K - alpha * v_aK) * (v_aK - alpha * v_bK)
+        den = y * x_b + (c_K - 2 * alpha * v_aK + alpha**2 * v_bK)
         return y, num, den
 
     def array_terms(alpha):
         # terms on the scan's sample array, or on one numpy scalar
-        return terms(alpha, np.sqrt(np.maximum(co.phi2(alpha), 0.0)))
+        return terms(alpha, np.sqrt(np.maximum((B4 * alpha + B5) * alpha + B6, 0.0)))
 
     def scan(samples):
         # u_hat; -inf where y or den is not positive (reconstruction impossible)
@@ -392,7 +433,7 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
         # Python floats raise where numpy returns inf or nan (alpha**2
         # overflowing, a zero two_xb2_vbar); such a point takes numpy's values.
         try:
-            return terms(alpha, math.sqrt(max(co.phi2(alpha), 0.0)))
+            return terms(alpha, math.sqrt(max((B4 * alpha + B5) * alpha + B6, 0.0)))
         except ArithmeticError:
             return tuple(float(t) for t in array_terms(np.float64(alpha)))
 
@@ -403,6 +444,7 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
     # Half-open feasible regions on either side of the ratio range, truncated.
     radius = TRUNCATION_FACTOR * float((va / vb).max())
     inset = 1e-12 * max(1.0, abs(rho_lo), abs(rho_hi))
+    passes = []  # (radius, phi2 >= 0 intervals)
     for _ in range(TRUNCATION_EXTENSIONS + 1):
         regions = [(-radius, rho_lo - inset), (rho_hi + inset, radius)]
         intervals = [
@@ -411,28 +453,52 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
             if r_lo < r_hi
             for piece in _phi2_nonneg_intervals(co, r_lo, r_hi)
         ]
-        samples = np.empty((len(intervals), SCAN_SAMPLES))
-        for row, (i_lo, i_hi) in zip(samples, intervals):
-            row[:] = np.linspace(i_lo, i_hi, SCAN_SAMPLES)
+        passes.append((radius, intervals))
+        if not any(lo == -radius or hi == radius for lo, hi in intervals):
+            break  # nothing can climb at a truncated end: the loop ends here
+        radius *= TRUNCATION_GROWTH
+
+    # Per pass: True when an interval with a finite sample still climbs at a
+    # truncated end (a wider pass follows), None when only intervals whose
+    # climbing end samples are not finite might (the full scan decides),
+    # False otherwise.  The last pass ends the loop whatever it finds.
+    climbs = [False] * len(passes)
+    ends = [
+        (lo, hi, radius, p)
+        for p, (radius, intervals) in enumerate(passes[:-1])
+        for lo, hi in intervals
+        if lo == -radius or hi == radius
+    ]
+    if ends:
+        lows, highs, radii, owners = (np.array(column) for column in zip(*ends))
+        cols = np.array([0, 1, SCAN_SAMPLES - 2, SCAN_SAMPLES - 1], dtype=float)
+        end_vals = scan(_linspace_columns(lows, highs, cols))
+        climb = _climbing(lows, highs, radii, end_vals)
+        finite = np.isfinite(end_vals).any(axis=1)
+        for p, up, sure in zip(owners.tolist(), climb.tolist(), finite.tolist()):
+            if up and climbs[p] is not True:
+                climbs[p] = sure or None
+
+    for (radius, intervals), climb in zip(passes, climbs):
+        if climb:
+            continue
+        if not intervals:
+            return None  # the pass that ends the loop has no feasible interval
+        lows, highs = np.array(intervals).T
+        samples = _linspace_columns(lows, highs, np.arange(SCAN_SAMPLES, dtype=float))
         vals = scan(samples)
         # rows with no finite sample take no part in either step below
         live = np.isfinite(vals).any(axis=1)
-        # objective still climbing at a truncated (unbounded) end?
-        hit_truncation = any(
-            (i_lo == -radius and row[0] >= row[1]) or (i_hi == radius and row[-1] >= row[-2])
-            for (i_lo, i_hi), row, ok in zip(intervals, vals, live)
-            if ok
-        )
-        if not hit_truncation:
-            break
-        radius *= TRUNCATION_GROWTH
+        if climb is None and (_climbing(lows, highs, radius, vals[:, [0, 1, -2, -1]]) & live).any():
+            continue
+        break
     # If the objective is still climbing at the final truncation radius its
     # supremum on this branch sits at the (unattained) limit profile; the
     # best sampled point stays as the candidate and loses to the branch
     # that realizes the limit.
 
     # Only the pass that ended the loop is refined: the candidate depends on
-    # that pass alone, and the loop's exit on the scans alone.
+    # that pass alone.
     best_alpha, best_val = None, -math.inf
     for row_samples, row, ok in zip(samples, vals, live):
         if not ok:

@@ -23,6 +23,9 @@ from blotto import (
 from blotto import commitment
 from blotto.commitment import (
     ALPHA_TOL,
+    SCAN_SAMPLES,
+    TRUNCATION_FACTOR,
+    TRUNCATION_GROWTH,
     CaseCoefficients,
     _golden_max,
     _prefix_candidate,
@@ -114,8 +117,8 @@ class TestCaseCoefficients:
             )
             scale1 = max(abs(phi1), 1e-30)
             scale2 = max(abs(phi2), 1e-30)
-            assert abs(co.phi1(theta) - phi1) <= 1e-9 * scale1
-            assert abs(co.phi2(theta) - phi2) <= 1e-9 * scale2
+            assert abs((co.B1 * theta + co.B2) * theta + co.B3 - phi1) <= 1e-9 * scale1
+            assert abs((co.B4 * theta + co.B5) * theta + co.B6 - phi2) <= 1e-9 * scale2
 
 
 class TestCase1:
@@ -184,7 +187,8 @@ class TestCase2PartialSupport:
             PARTIAL_SUPPORT_INSTANCE.values_a[:2] / PARTIAL_SUPPORT_INSTANCE.values_b[:2]
         )
         assert sol.alpha < ratios.min() or sol.alpha > ratios.max()
-        assert co.phi2(sol.alpha) >= -1e-9 * max(1.0, abs(co.phi2(sol.alpha)))
+        phi2 = (co.B4 * sol.alpha + co.B5) * sol.alpha + co.B6
+        assert phi2 >= -1e-9 * max(1.0, abs(phi2))
         assert sol.y > 0
 
     def test_budget_identity_closes(self, rng):
@@ -432,22 +436,116 @@ PASS_DIGESTS = {
 }
 
 
+def extreme_instance(seed, exponent=6):
+    """n in [2, 11], values and budgets log-uniform in 1e±exponent."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    budgets = 10.0 ** rng.uniform(-exponent, exponent, 2)
+    return GameInstance(
+        *budgets,
+        10.0 ** rng.uniform(-exponent, exponent, n),
+        10.0 ** rng.uniform(-exponent, exponent, n),
+    )
+
+
+def _outcome(instance):
+    """(case_tag, k, _digest) of optimal_commitment(instance), or (exception
+    class name, sha256 prefix of its message) when it raises."""
+    try:
+        sol = optimal_commitment(instance)
+    except (InputError, SolverInvariantError) as exc:
+        return type(exc).__name__, hashlib.sha256(str(exc).encode()).hexdigest()[:16]
+    return sol.case_tag, len(sol.support), _digest(sol)
+
+
+# (exponent, seed): _outcome(extreme_instance(seed, exponent)), recorded at
+# 6727b0a.  The CASE_2_2 alpha scan of the later entries meets a truncated
+# end whose two end samples are not finite (both -inf on a live interval),
+# so that pass is scanned in full to decide whether a wider one follows.
+# At 1e±6, 22 of the first 1008 seeds do; at 1e±3 and in the `gen` range
+# none of 1000 did.  (6, 1211) wins with a candidate from the pass after
+# such a scan, and (12, 1255) loses one when the scan ends the loop.
+EXTREME_DIGESTS = {
+    (6, 0): ("CASE_2_2", 2, "5c23d542b9407c62"),  # n=10
+    (6, 6): ("CASE_2_2", 2, "b2744661bbc67a80"),  # n=6
+    (6, 7): ("CASE_2_2", 5, "15b682f8fdd376ed"),  # n=11
+    (6, 2): ("CASE_2_1", 10, "f9679d8ed7e317c6"),  # n=10
+    (6, 3): ("CASE_2_1", 10, "7255d163a183464c"),  # n=10
+    (6, 5): ("CASE_1", 1, "91a1d3b07b861d21"),  # n=8
+    (6, 16): ("CASE_1", 1, "f3a0635dbb9ba498"),  # n=7
+    (6, 8): ("SolverInvariantError", "d26a44f3a9548cc1"),  # n=9
+    (6, 30): ("SolverInvariantError", "4246eb20251d200e"),  # n=3
+    (6, 34): ("SolverInvariantError", "b80fa7eb2f6cc19d"),  # n=2
+    # these reach the pass whose full scan decides (see FALLBACK_PASSES)
+    (6, 1): ("SolverInvariantError", "2904f2831195400b"),  # n=6
+    (6, 19): ("SolverInvariantError", "74f3fd6ad4ab98cd"),  # n=7
+    (6, 87): ("CASE_1", 1, "507e002c0c13ec0a"),  # n=8
+    (6, 229): ("SolverInvariantError", "6ba2da970355d328"),  # n=7
+    (6, 455): ("SolverInvariantError", "6611a00a73ee8a8d"),  # n=9
+    (6, 505): ("CASE_1", 1, "3ca2c1e47e360086"),  # n=10
+    (6, 523): ("CASE_1", 1, "f816a355006dc668"),  # n=4
+    (6, 690): ("SolverInvariantError", "cc63b1be4e2f96dc"),  # n=8
+    (6, 847): ("CASE_1", 1, "e4dfa959509cae33"),  # n=4
+    (6, 892): ("CASE_1", 1, "78cdacf30c9dda1d"),  # n=8
+    (6, 1211): ("CASE_2_2", 7, "3edd7993ee7d7751"),  # n=10
+    (12, 435): ("CASE_1", 1, "ba94da24bdc7e73d"),  # n=8
+    (12, 1129): ("CASE_1", 1, "fb059efa3310f90a"),  # n=10
+    (12, 1255): ("SolverInvariantError", "2db6f014967169f0"),  # n=7
+    (12, 1843): ("SolverInvariantError", "e3780a0571d6d50c"),  # n=9
+}
+
+# (exponent, seed, k): truncation passes of the CASE_2_2 call at prefix k of
+# extreme_instance(seed, exponent), one of whose passes is scanned in full
+# to decide (see EXTREME_DIGESTS), counted at 6727b0a.  Seeds 1 and 1843
+# scan three such passes in full before the last one.
+FALLBACK_PASSES = {
+    (6, 1, 2): 4,
+    (6, 455, 4): 3,
+    (6, 1211, 7): 4,
+    (12, 435, 2): 1,
+    (12, 1255, 5): 1,
+    (12, 1843, 4): 4,
+}
+
+
 class TestTruncationPasses:
     @staticmethod
-    def passes(monkeypatch, canon, k):
-        """Truncation passes of solve_case2_partial_support(canon, k): each
-        pass splits its right-hand region (lo > 0) by phi2 once."""
-        lows = []
-        real = commitment._phi2_nonneg_intervals
+    def scans(monkeypatch, canon, k):
+        """(lows, highs) of every full (intervals, SCAN_SAMPLES) scan that
+        solve_case2_partial_support(canon, k) builds, in order, and the
+        call's result."""
+        scans = []
+        real = commitment._linspace_columns
 
-        def split(co, lo, hi):
-            lows.append(lo)
-            return real(co, lo, hi)
+        def columns(lows, highs, cols):
+            if len(cols) == SCAN_SAMPLES:
+                scans.append((lows, highs))
+            return real(lows, highs, cols)
 
-        monkeypatch.setattr(commitment, "_phi2_nonneg_intervals", split)
-        solve_case2_partial_support(canon, k)
+        monkeypatch.setattr(commitment, "_linspace_columns", columns)
+        cand = solve_case2_partial_support(canon, k)
         monkeypatch.undo()
-        return sum(lo > 0 for lo in lows)
+        return scans, cand
+
+    @staticmethod
+    def pass_number(canon, lows, highs):
+        """Number of the truncation pass whose intervals a full scan of
+        canon covers.  A pass follows only when an interval climbs at the
+        radius before it, and that interval then reaches past that radius,
+        so the scan's farthest end names its radius."""
+        reach = max(np.max(-lows, initial=0.0), np.max(highs, initial=0.0))
+        radius = TRUNCATION_FACTOR * float((canon.values_a / canon.values_b).max())
+        passes = 1
+        while reach > radius:
+            radius *= TRUNCATION_GROWTH
+            passes += 1
+        return passes
+
+    @classmethod
+    def passes(cls, monkeypatch, canon, k):
+        """Truncation passes of solve_case2_partial_support(canon, k): the
+        number of the pass that its last full scan covers."""
+        return cls.pass_number(canon, *cls.scans(monkeypatch, canon, k)[0][-1])
 
     @pytest.mark.parametrize("seed", sorted(PASS_DIGESTS))
     def test_pass_count_output_is_bit_identical(self, monkeypatch, seed):
@@ -481,6 +579,59 @@ class TestTruncationPasses:
         assert _digest(sol) == PASS_DIGESTS[6][2]
         assert sum(ok for _, ok in runs) == 3
         assert [count for count, _ in runs] == [int(ok) for _, ok in runs]
+
+    @pytest.mark.parametrize("exponent, seed, k", sorted(FALLBACK_PASSES))
+    def test_pass_count_after_a_full_scan_decides(self, monkeypatch, exponent, seed, k):
+        canon, _ = canonical_ordering(extreme_instance(seed, exponent))
+        assert self.passes(monkeypatch, canon, k) == FALLBACK_PASSES[exponent, seed, k]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gen_calls_scan_one_pass_in_full(self, monkeypatch, seed):
+        # The end samples settle every pass of a `gen`-range call, so each
+        # call builds exactly one (intervals, SCAN_SAMPLES) scan, though it
+        # runs all four passes.  A call with no feasible interval at all
+        # (pass number 0 below) builds none and returns None; no other
+        # `gen`-range call ends before the last pass.
+        rng = np.random.default_rng(seed)
+        passes = []
+        for n in (4, 8, 16):
+            canon, _ = canonical_ordering(random_instance(rng, n))
+            for k in range(2, n):  # `gen` ratios are distinct: all CASE_2_2
+                scans, cand = self.scans(monkeypatch, canon, k)
+                assert len(scans) <= 1
+                passes.append(self.pass_number(canon, *scans[0]) if scans else 0)
+                assert scans or cand is None
+        assert len(passes) == 22
+        assert set(passes) == {0, 4}
+
+    @pytest.mark.parametrize(
+        "lo, hi, underflows",
+        [
+            (-8e3, -1.5, False),
+            (2.5, 6.4e4, False),
+            (-1e300, 1e300, False),  # hi - lo overflows: step is inf
+            (1.0, 1.0 + 2**-40, False),
+            (-3e-310, -2.9e-310, False),  # subnormal ends
+            (-1e-320, 1e-320, False),  # subnormal step
+            (0.0, 5e-324, True),
+            (-1e-321, 1e-321, True),
+            (-2e-321, -1e-322, True),
+            (1e-322, 2e-321, True),
+        ],
+    )
+    def test_end_samples_are_linspace_samples(self, lo, hi, underflows):
+        # Where the step underflows to 0, linspace takes its step == 0
+        # branch.  Each such row sits between rows of ordinary width, which
+        # must keep the ordinary branch, as they do in their own linspace.
+        assert ((hi - lo) / (SCAN_SAMPLES - 1) == 0) == underflows
+        lows = np.array([-7.0, lo, 1e-3])
+        highs = np.array([-2.0, hi, 12.0])
+        ends = np.array([0, 1, SCAN_SAMPLES - 2, SCAN_SAMPLES - 1], dtype=float)
+        with np.errstate(invalid="ignore"):
+            for cols, at in ((ends, [0, 1, -2, -1]), (np.arange(SCAN_SAMPLES, dtype=float), slice(None))):
+                got = commitment._linspace_columns(lows, highs, cols)
+                want = np.array([np.linspace(l, h, SCAN_SAMPLES)[at] for l, h in zip(lows, highs)])
+                assert got.tobytes() == want.tobytes()
 
 def _prefix_corpus(kind, count=60):
     """count instances at n in [2, 32]: `gen`-range draws, or log-uniform
@@ -616,6 +767,12 @@ class TestExtremeScales:
             match="K=\\[0..1\\]: InputError: x_a entries on K must be strictly positive",
         ):
             optimal_commitment(inst)
+
+    @pytest.mark.parametrize("exponent, seed", sorted(EXTREME_DIGESTS))
+    def test_extreme_scale_output_is_bit_identical(self, exponent, seed):
+        with np.errstate(all="ignore"):
+            outcome = _outcome(extreme_instance(seed, exponent))
+        assert outcome == EXTREME_DIGESTS[exponent, seed]
 
     def test_golden_search_ends_where_float_spacing_exceeds_alpha_tol(self):
         # One float spacing near 1e12 is 1.2e-4 > ALPHA_TOL: the bracket

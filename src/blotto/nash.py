@@ -10,14 +10,19 @@ reconstruction is not a valid pair of allocations, or not a mutual best
 response, is dropped; when no root survives, solve_nash raises
 SolverInvariantError.
 
-The scan samples f at SCAN_CELLS + 1 points.  It evaluates them in row
-blocks that reuse two preallocated buffers per worker thread.  A scan of
-at least _SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs (n >= 64) is split into
-one contiguous slice of rows per CPU in the process's affinity set; a
-smaller one runs on the caller's thread.  The workers share one budget of
-_SCAN_BLOCK_ELEMENTS pairs per buffer, so the buffers total about 1 MiB
-at any CPU count (one row per buffer and worker once a share holds less
-than a row), not SCAN_CELLS * n floats.  Every worker runs under the
+The scan samples f at SCAN_CELLS + 1 points.  Where the product
+prod_j (mu + rho_j)^2 overflows, f is NaN, and every later point
+overflows too; one probe of the last point and a bisection on single
+points find the first such point, and only the points before it are
+evaluated (at n = 512 most points of a `gen` instance overflow).  The
+kept points are evaluated in row blocks that reuse two preallocated
+buffers per worker thread.  A scan that keeps at least
+_SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs (points kept times n) is split
+into one contiguous slice of rows per CPU in the process's affinity set;
+a smaller one runs on the caller's thread.  The workers share one budget
+of _SCAN_BLOCK_ELEMENTS pairs per buffer, so the buffers total about
+1 MiB at any CPU count (one row per buffer and worker once a share holds
+less than a row), not SCAN_CELLS * n floats.  Every worker runs under the
 caller's numpy error state, and the values are bit for bit those of one
 thread.  The scan is sampled, not certified: two roots inside one cell
 leave no sign change and are both missed.
@@ -25,6 +30,7 @@ leave no sign change and are both missed.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -63,8 +69,9 @@ BRENT_MAXITER = 100
 class NashSolution:
     """Equilibrium profile; candidate_roots lists every root of f located on
     the interval, including the ones dropped because they do not rebuild a
-    valid mutual best response (common at n >= 64, where the product form
-    overflows)."""
+    valid mutual best response.  From about n = 64 the product form
+    overflows above some mu, where f is NaN, so the roots there are not
+    located; that is why most solves fail at n >= 512."""
 
     mu_star: float
     alloc_a: Allocation
@@ -96,6 +103,30 @@ def _scan_workers(elements: int) -> int:
     return min(cpus, -(-elements // _SCAN_BLOCK_ELEMENTS))
 
 
+def _products(mus: np.ndarray, rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """fl(prod_j (mu + rho_j)^2) for each mu, as a column, leaving the
+    squares in the C-contiguous (mus.size, n) buffer sq.  The one place the
+    scan and its overflow search form the product, so both round alike."""
+    np.add(mus[:, None], rho, out=sq)  # strictly positive
+    np.square(sq, out=sq)
+    return sq.prod(axis=1, keepdims=True)
+
+
+def _first_overflow(rho: np.ndarray, grid: np.ndarray) -> int:
+    """Index of the first row of the ascending grid whose product
+    (_products) is inf, or grid.size when none is: one probe of the last
+    row, then a bisection on single rows.  The rows after it overflow too
+    (see solve_nash), so the overflowing rows are a suffix of the grid."""
+    sq = np.empty((1, rho.size))
+
+    def overflows(i: int) -> bool:
+        return bool(np.isinf(_products(grid[i : i + 1], rho, sq)[0, 0]))
+
+    if not overflows(grid.size - 1):
+        return grid.size
+    return bisect.bisect_left(range(grid.size - 1), True, key=overflows)
+
+
 def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
     """nash_poly over a vector of mu values.  The rows are split into one
     contiguous slice per worker (_scan_workers); each worker evaluates its
@@ -123,9 +154,7 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
                 # terms * (full / squares), which rounds differently.
                 mu = mus[start : min(start + rows, hi)]
                 sq, tm = squares[: mu.size], terms[: mu.size]
-                np.add(mu[:, None], rho, out=sq)  # strictly positive
-                np.square(sq, out=sq)
-                full = sq.prod(axis=1, keepdims=True)
+                full = _products(mu, rho, sq)
                 np.subtract(mu[:, None], rho_r, out=tm)
                 np.multiply(instance.values_b, tm, out=tm)
                 np.multiply(tm, full, out=tm)
@@ -145,6 +174,17 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
     for future in futures:  # the first slice's exception, as one thread would raise
         future.result()
     return out
+
+
+def _scan_values(instance: GameInstance, grid: np.ndarray) -> np.ndarray:
+    """f over an ascending grid inside [min_h rho_h * r, max_h rho_h * r]:
+    _poly_values on the rows before _first_overflow, NaN on the rest, which
+    are never evaluated.  Bit for bit what _poly_values gives every row, up
+    to the sign of a NaN; solve_nash's docstring says why."""
+    cut = _first_overflow(instance.values_b / instance.values_a, grid)
+    vals = np.full(grid.size, np.nan)
+    vals[:cut] = _poly_values(instance, grid[:cut])
+    return vals
 
 
 def brentq(f, xa: float, xb: float) -> float:
@@ -235,12 +275,26 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     Scans the root interval in SCAN_CELLS cells, refines every sign change
     with brentq (the in-repo Brent method), keeps the roots whose
     reconstructed profiles are valid allocations and mutual best responses,
-    and among those returns the one with the highest leader utility.  The
-    scan evaluates f in row blocks (see _poly_values), so its memory stays
-    bounded at any n.  From n = 64 it uses one thread per CPU in the
+    and among those returns the one with the highest leader utility.
+
+    The scan evaluates f only below the first grid point whose product
+    fl(prod_j (mu + rho_j)^2) is inf (_first_overflow), and takes f as NaN
+    from there on.  That is what evaluating those points would give, bit
+    for bit up to the NaN's sign, for two reasons:
+    - Once a point overflows, every later one does.  All factors are
+      positive and rounding is monotone, so each partial product at a
+      larger mu is at least as large, in any fixed reduction order; a
+      product of inf has no partial product of 0, so no 0 * inf arises.
+    - An overflowing point's f is NaN.  Every grid mu lies in
+      [min_h rho_h * r, max_h rho_h * r], so one term has mu - rho_h * r
+      >= 0 and another <= 0; times inf they give +inf and -inf, or
+      0 * inf, and the sum is NaN, which is never a zero or a sign change.
+    The kept points are evaluated in row blocks (see _poly_values), so
+    the scan's memory stays bounded at any n.  A scan that keeps at least
+    _SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs uses one thread per CPU in the
     process's affinity set, sharing that memory budget, with results
     identical to one thread; restrict the CPUs with `taskset` to use
-    fewer.  It is sampled: two roots inside one cell cancel out
+    fewer.  The scan is sampled: two roots inside one cell cancel out
     and are not located, so "highest leader utility" ranges over the
     located roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
@@ -255,7 +309,7 @@ def solve_nash(instance: GameInstance) -> NashSolution:
         roots = [(lo + hi) / 2]
     else:
         grid = np.linspace(lo, hi, SCAN_CELLS + 1)
-        vals = _poly_values(instance, grid)
+        vals = _scan_values(instance, grid)
         roots = [float(g) for g in grid[vals == 0]]
         signs = np.sign(vals)
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:

@@ -345,6 +345,44 @@ PINNED_DIGESTS = {
 # the host's CPU count.
 FORCED_WORKERS = (1, 2, 4)
 
+# First overflowing row of the solve grid of `blotto gen --n N --seed S`:
+# none (all 4097 rows kept), inside the second block of one worker's scan,
+# a few rows, and row 0.
+CUT_CASES = {(128, 3): 4097, (128, 0): 646, (512, 0): 34, (2048, 0): 2, (2048, 25): 0}
+
+
+def solve_grid(inst):
+    rho = inst.values_b / inst.values_a
+    r = inst.budget_a / inst.budget_b
+    return np.linspace(float(rho.min()) * r, float(rho.max()) * r, nash.SCAN_CELLS + 1)
+
+
+def product_form_rows(inst, grid):
+    """The row products and f on every grid row, evaluated one row at a
+    time in the product form's operation order: no blocks, threads or cut."""
+    rho = inst.values_b / inst.values_a
+    rho_r = rho * (inst.budget_a / inst.budget_b)
+    full, vals = np.empty(grid.size), np.empty(grid.size)
+    for i, mu in enumerate(grid):
+        sq = np.square(mu + rho)
+        full[i] = sq.prod()
+        vals[i] = mu * (inst.values_b * (mu - rho_r) * full[i] / sq).sum()
+    return full, vals
+
+
+def assert_cut_scan_is_exact(monkeypatch, inst, grid, cut):
+    """The overflowing rows are exactly the suffix from `cut`, and the cut
+    scan equals the product form on every row at each forced worker count."""
+    full, reference = product_form_rows(inst, grid)
+    assert nash._first_overflow(inst.values_b / inst.values_a, grid) == cut
+    assert not np.isinf(full[:cut]).any() and np.isinf(full[cut:]).all()
+    finite = ~np.isnan(reference)
+    for workers in FORCED_WORKERS:
+        monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+        values = nash._scan_values(inst, grid)
+        assert np.array_equal(values, reference, equal_nan=True), workers
+        assert np.array_equal(np.signbit(values[finite]), np.signbit(reference[finite])), workers
+
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -372,22 +410,73 @@ class TestLargeN:
             assert np.array_equal(blocked, single, equal_nan=True), workers
             assert np.array_equal(np.signbit(blocked), np.signbit(single)), workers
 
+    @pytest.mark.parametrize("n, seed", sorted(CUT_CASES))
+    def test_cut_scan_matches_the_product_form_on_every_row(self, monkeypatch, n, seed):
+        inst = random_instance(np.random.default_rng(seed), n)
+        assert_cut_scan_is_exact(monkeypatch, inst, solve_grid(inst), CUT_CASES[n, seed])
+
+    def test_cut_on_a_block_boundary(self, monkeypatch):
+        # The (128, 0) solve grid, resampled so that its first overflowing
+        # row is the first row after one worker's first block, which is
+        # also a block boundary at 2 and 4 workers.
+        inst = random_instance(np.random.default_rng(0), 128)
+        grid = solve_grid(inst)
+        cut, boundary = CUT_CASES[128, 0], nash._SCAN_BLOCK_ELEMENTS // 128
+        grid = np.concatenate([
+            np.linspace(grid[0], grid[cut - 1], boundary),
+            np.linspace(grid[cut], grid[-1], grid.size - boundary),
+        ])
+        assert_cut_scan_is_exact(monkeypatch, inst, grid, boundary)
+
+    def test_nan_rule_stays_inside_the_interval(self):
+        # Above max rho * r every term is positive, so an overflowing mu
+        # gives +inf, not the NaN the scan takes for its overflowing rows.
+        inst = random_instance(np.random.default_rng(1), 512)
+        mu = 2 * solve_grid(inst)[-1]
+        assert np.isinf(np.square(mu + inst.values_b / inst.values_a).prod())
+        assert nash_poly(inst, mu) == math.inf
+
     def test_scan_memory_is_bounded(self, monkeypatch):
         # The unblocked scan held about 256 MB of (4097 x n) temporaries
         # at n=2048; the blocked one reuses small row-block buffers whose
-        # total the workers share.
-        inst = random_instance(np.random.default_rng(0), 2048)
+        # total the workers share.  Every ratio lies in [0.5, 0.51] and
+        # r = 1, so no row product overflows and all 4097 rows are scanned.
+        rng = np.random.default_rng(0)
+        values_a = rng.uniform(0.1, 10.0, 2048)
+        inst = GameInstance(1.0, 1.0, values_a, values_a * rng.uniform(0.5, 0.51, 2048))
         for workers in FORCED_WORKERS:
-            monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+            scanned = []
+            monkeypatch.setattr(
+                nash, "_scan_workers", lambda elements: scanned.append(elements) or workers
+            )
             tracemalloc.start()
             try:
                 solve_nash(inst)
-            except SolverInvariantError:  # the product form overflows at n=2048
-                pass
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
+            assert scanned[0] == (nash.SCAN_CELLS + 1) * 2048, workers
             assert peak < 8 * 2**20, workers
+
+    def test_worker_count_follows_the_kept_rows(self, monkeypatch):
+        # gen --n 2048 --seed 0 keeps 2 of 4097 rows, so its scan asks for
+        # 2 * 2048 pairs and starts no thread pool.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scan thread pool started")
+
+        scanned, count = [], nash._scan_workers
+        monkeypatch.setattr(
+            nash, "_scan_workers", lambda elements: scanned.append(elements) or count(elements)
+        )
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        try:
+            solve_nash(random_instance(np.random.default_rng(0), 2048))
+        except SolverInvariantError:  # the product form overflows at n=2048
+            pass
+        assert scanned[0] == CUT_CASES[2048, 0] * 2048
+        assert max(scanned) < nash._SCAN_THREAD_MIN_ELEMENTS
 
     @pytest.mark.parametrize("workers", FORCED_WORKERS)
     def test_worker_fault_reaches_the_caller(self, monkeypatch, workers):

@@ -166,12 +166,15 @@ def threshold_allocation_outside_support(
     unattacked precisely when x_aj >= v_bj * (x_b + sum_K x_al)^2 /
     (sum_K sqrt(x_al * v_bl))^2; the optimal commitment meets this bound
     with equality.  Returns {j: x_aj} for every j not in K; K may be any
-    index set, not only a canonical prefix.
+    index set in any order, not only a canonical prefix, and x_a_on_K[i] is
+    the spend on battlefield K[i].
     """
-    idx = sorted({int(j) for j in K})
+    idx = [int(j) for j in K]
     if not idx:
         raise InputError("support candidate K must be non-empty")
-    if idx[0] < 0 or idx[-1] >= instance.n:
+    if len(set(idx)) != len(idx):
+        raise InputError(f"support candidate {idx} repeats an index")
+    if min(idx) < 0 or max(idx) >= instance.n:
         raise InputError(f"support candidate {idx} out of range [0, {instance.n})")
     spend = np.asarray(x_a_on_K, dtype=float)
     if spend.shape != (len(idx),):

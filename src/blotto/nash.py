@@ -15,24 +15,18 @@ prod_j (mu + rho_j)^2 overflows, f is NaN, and every later point
 overflows too; one probe of the last point and a bisection on single
 points find the first such point, and only the points before it are
 evaluated (at n = 512 most points of a `gen` instance overflow).  The
-kept points are evaluated in row blocks that reuse two preallocated
-buffers per worker thread.  A scan that keeps at least
-_SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs (points kept times n) is split
-into one contiguous slice of rows per CPU in the process's affinity set;
-a smaller one runs on the caller's thread.  The workers share one budget
-of _SCAN_BLOCK_ELEMENTS pairs per buffer, so the buffers total about
-1 MiB at any CPU count (one row per buffer and worker once a share holds
-less than a row), not SCAN_CELLS * n floats.  Every worker runs under the
-caller's numpy error state, and the values are bit for bit those of one
-thread.  The scan is sampled, not certified: two roots inside one cell
-leave no sign change and are both missed.
+kept points are evaluated in row blocks of _SCAN_BLOCK_ELEMENTS (mu, h)
+pairs, at least one row, that reuse two preallocated buffers, so the
+scan holds about 1 MiB at any n, not SCAN_CELLS * n floats.  Overflow
+inside the scan is expected and runs with numpy's warnings off.  The
+scan is sampled, not certified: two roots inside one cell leave no sign
+change and are both missed.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +43,8 @@ from .game_core import (
 # Number of scan cells used to bracket sign changes of f on the interval.
 SCAN_CELLS = 4096
 # (mu, h) pairs the scan evaluates at a time (at least one row of n); its
-# working memory is two float64 buffers of this size (512 KiB each),
-# shared out among the scan's threads.
+# working memory is two float64 buffers of this size (512 KiB each).
 _SCAN_BLOCK_ELEMENTS = 65536
-# Smallest scan split across threads (n >= 64 at SCAN_CELLS).  Smaller
-# scans take under about 1.5 ms on one CPU and stay on the caller's thread,
-# so small solves start no thread.
-_SCAN_THREAD_MIN_ELEMENTS = 4 * _SCAN_BLOCK_ELEMENTS
 # Relative tolerance on the located root.
 ROOT_RTOL = 1e-12
 # Mutual-best-response acceptance tolerance (relative to each budget).
@@ -90,19 +79,6 @@ def nash_poly(instance: GameInstance, mu: float) -> float:
     return float(_poly_values(instance, np.array([mu]))[0])
 
 
-def _scan_workers(elements: int) -> int:
-    """Threads for a scan of `elements` (mu, h) pairs: one per CPU in this
-    process's affinity set, at most one per _SCAN_BLOCK_ELEMENTS, and one
-    below _SCAN_THREAD_MIN_ELEMENTS.  The only place the count is decided."""
-    if elements < _SCAN_THREAD_MIN_ELEMENTS:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS or Windows
-        cpus = os.cpu_count() or 1
-    return min(cpus, -(-elements // _SCAN_BLOCK_ELEMENTS))
-
-
 def _products(mus: np.ndarray, rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """fl(prod_j (mu + rho_j)^2) for each mu, as a column, leaving the
     squares in the C-contiguous (mus.size, n) buffer sq.  The one place the
@@ -128,51 +104,30 @@ def _first_overflow(rho: np.ndarray, grid: np.ndarray) -> int:
 
 
 def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
-    """nash_poly over a vector of mu values.  The rows are split into one
-    contiguous slice per worker (_scan_workers); each worker evaluates its
-    slice in blocks of its share of _SCAN_BLOCK_ELEMENTS (mu, h) pairs, at
-    least one row, under the caller's numpy error state.  Each row only
+    """nash_poly over a vector of mu values, in blocks of
+    _SCAN_BLOCK_ELEMENTS (mu, h) pairs, at least one row.  Each row only
     depends on its own mu, and a reduction along a C-contiguous row does
     not depend on the rows beside it, so the result is bit for bit that of
-    one call per mu, at any worker count.  An exception in a worker is
-    raised here once every worker has stopped."""
+    one call per mu."""
     rho = instance.values_b / instance.values_a
     r = instance.budget_a / instance.budget_b
     rho_r = rho * r
-    workers = max(1, min(_scan_workers(mus.size * rho.size), mus.size))
-    rows = max(1, _SCAN_BLOCK_ELEMENTS // (workers * rho.size))
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // rho.size)
     out = np.empty(mus.size)
-    errors, errcall = np.geterr(), np.geterrcall()
-
-    def scan(lo: int, hi: int) -> None:
-        squares = np.empty((min(rows, hi - lo), rho.size))
-        terms = np.empty_like(squares)
-        with np.errstate(call=errcall, **errors):
-            for start in range(lo, hi, rows):
-                # The recorded reports depend on this exact operation order:
-                # (v_b * (mu - rho * r) * full) / squares, never
-                # terms * (full / squares), which rounds differently.
-                mu = mus[start : min(start + rows, hi)]
-                sq, tm = squares[: mu.size], terms[: mu.size]
-                full = _products(mu, rho, sq)
-                np.subtract(mu[:, None], rho_r, out=tm)
-                np.multiply(instance.values_b, tm, out=tm)
-                np.multiply(tm, full, out=tm)
-                np.divide(tm, sq, out=tm)
-                np.multiply(mu, tm.sum(axis=1), out=out[start : start + mu.size])
-
-    if workers == 1:
-        scan(0, mus.size)
-        return out
-    # Imported here so that small solves, such as every CLI run at n < 64,
-    # never pay for the import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [mus.size * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(scan, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    for future in futures:  # the first slice's exception, as one thread would raise
-        future.result()
+    squares = np.empty((min(rows, mus.size), rho.size))
+    terms = np.empty_like(squares)
+    for start in range(0, mus.size, rows):
+        # The recorded reports depend on this exact operation order:
+        # (v_b * (mu - rho * r) * full) / squares, never
+        # terms * (full / squares), which rounds differently.
+        mu = mus[start : start + rows]
+        sq, tm = squares[: mu.size], terms[: mu.size]
+        full = _products(mu, rho, sq)
+        np.subtract(mu[:, None], rho_r, out=tm)
+        np.multiply(instance.values_b, tm, out=tm)
+        np.multiply(tm, full, out=tm)
+        np.divide(tm, sq, out=tm)
+        np.multiply(mu, tm.sum(axis=1), out=out[start : start + mu.size])
     return out
 
 
@@ -290,13 +245,13 @@ def solve_nash(instance: GameInstance) -> NashSolution:
       >= 0 and another <= 0; times inf they give +inf and -inf, or
       0 * inf, and the sum is NaN, which is never a zero or a sign change.
     The kept points are evaluated in row blocks (see _poly_values), so
-    the scan's memory stays bounded at any n.  A scan that keeps at least
-    _SCAN_THREAD_MIN_ELEMENTS (mu, h) pairs uses one thread per CPU in the
-    process's affinity set, sharing that memory budget, with results
-    identical to one thread; restrict the CPUs with `taskset` to use
-    fewer.  The scan is sampled: two roots inside one cell cancel out
-    and are not located, so "highest leader utility" ranges over the
-    located roots only, not over every equilibrium.
+    the scan's memory stays bounded at any n.  The scan and the brentq
+    refinement run under np.errstate(over="ignore", invalid="ignore"):
+    their overflow is expected and handled by the NaN rule above, so it
+    prints no RuntimeWarning, and a caller's over="raise" does not reach
+    them.  The scan is sampled: two roots inside one cell cancel out and
+    are not located, so "highest leader utility" ranges over the located
+    roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
     not converge in a cell.
     """
@@ -309,15 +264,16 @@ def solve_nash(instance: GameInstance) -> NashSolution:
         roots = [(lo + hi) / 2]
     else:
         grid = np.linspace(lo, hi, SCAN_CELLS + 1)
-        vals = _scan_values(instance, grid)
-        roots = [float(g) for g in grid[vals == 0]]
-        signs = np.sign(vals)
-        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            try:
-                root = brentq(lambda m: nash_poly(instance, m), grid[i], grid[i + 1])
-            except ValueError:  # f is NaN inside the cell: no usable root
-                continue
-            roots.append(float(root))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _scan_values(instance, grid)
+            roots = [float(g) for g in grid[vals == 0]]
+            signs = np.sign(vals)
+            for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+                try:
+                    root = brentq(lambda m: nash_poly(instance, m), grid[i], grid[i + 1])
+                except ValueError:  # f is NaN inside the cell: no usable root
+                    continue
+                roots.append(float(root))
         if not roots:
             sampled = ", ".join(f"f({g:.6g})={v:.3g}" for g, v in zip(grid[::512], vals[::512]))
             raise SolverInvariantError(

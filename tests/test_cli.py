@@ -45,6 +45,14 @@ def worked_example_json(tmp_path, r):
     )
 
 
+def fresh_process_env():
+    """os.environ with this checkout's blotto first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(blotto.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--out", str(out)])
@@ -159,6 +167,22 @@ class TestSolveNash:
         np.testing.assert_allclose(payload["alloc_a"], [0.667, 1.333], atol=1e-3)
         np.testing.assert_allclose(payload["alloc_b"], [0.833, 0.167], atol=1e-3)
         assert payload["mu_star"] in payload["candidate_roots"]
+
+    def test_overflowing_scan_prints_nothing_to_stderr(self, tmp_path):
+        # The product form overflows on most of this instance's scan; the
+        # solve succeeds, and numpy's overflow warnings must not reach the
+        # console.  A fresh process, because pytest captures warnings.
+        inst = str(tmp_path / "g512s1.json")
+        assert main(["gen", "--n", "512", "--seed", "1", "--out", inst]) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "blotto.cli", "solve-nash", "--instance", inst],
+            env=fresh_process_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
 
 
 class TestCompare:
@@ -466,11 +490,9 @@ def test_blotto_runs_without_loading_scipy(tmp_path):
         "    assert blotto.cli.main([cmd, '--instance', inst, '--out', inst + cmd]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
-    src = str(Path(blotto.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=fresh_process_env(),
         capture_output=True,
         text=True,
         timeout=120,

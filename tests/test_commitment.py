@@ -91,6 +91,18 @@ class TestThresholdAllocation:
         with pytest.raises(InputError):
             threshold_allocation_outside_support(inst, [], np.array([]))
 
+    def test_spend_pairs_with_its_own_index(self):
+        # The same spend on K = {0, 2}, listed in either order.
+        inst = GameInstance(3.0, 1.0, np.array([1.0, 2, 3, 4]), np.array([1.0, 5, 2, 0.5]))
+        ascending = threshold_allocation_outside_support(inst, [0, 2], [0.5, 1.5])
+        assert threshold_allocation_outside_support(inst, [2, 0], [1.5, 0.5]) == ascending
+        assert ascending == {1: pytest.approx(7.5636738519611), 3: pytest.approx(0.75636738519611)}
+
+    def test_rejects_repeated_index(self):
+        inst = worked_example_instance(1.0)
+        with pytest.raises(InputError, match="repeats"):
+            threshold_allocation_outside_support(inst, [0, 0], [0.5, 0.5])
+
 
 class TestCaseCoefficients:
     def test_matches_direct_recomputation(self, rng):

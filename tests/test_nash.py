@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -341,13 +342,9 @@ PINNED_DIGESTS = {
 }
 
 
-# Scan thread counts the tests force through nash._scan_workers, whatever
-# the host's CPU count.
-FORCED_WORKERS = (1, 2, 4)
-
 # First overflowing row of the solve grid of `blotto gen --n N --seed S`:
-# none (all 4097 rows kept), inside the second block of one worker's scan,
-# a few rows, and row 0.
+# none (all 4097 rows kept), inside the scan's second row block, a few
+# rows, and row 0.
 CUT_CASES = {(128, 3): 4097, (128, 0): 646, (512, 0): 34, (2048, 0): 2, (2048, 25): 0}
 
 
@@ -359,7 +356,7 @@ def solve_grid(inst):
 
 def product_form_rows(inst, grid):
     """The row products and f on every grid row, evaluated one row at a
-    time in the product form's operation order: no blocks, threads or cut."""
+    time in the product form's operation order: no blocks and no cut."""
     rho = inst.values_b / inst.values_a
     rho_r = rho * (inst.budget_a / inst.budget_b)
     full, vals = np.empty(grid.size), np.empty(grid.size)
@@ -370,18 +367,16 @@ def product_form_rows(inst, grid):
     return full, vals
 
 
-def assert_cut_scan_is_exact(monkeypatch, inst, grid, cut):
+def assert_cut_scan_is_exact(inst, grid, cut):
     """The overflowing rows are exactly the suffix from `cut`, and the cut
-    scan equals the product form on every row at each forced worker count."""
+    scan equals the product form on every row."""
     full, reference = product_form_rows(inst, grid)
     assert nash._first_overflow(inst.values_b / inst.values_a, grid) == cut
     assert not np.isinf(full[:cut]).any() and np.isinf(full[cut:]).all()
     finite = ~np.isnan(reference)
-    for workers in FORCED_WORKERS:
-        monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
-        values = nash._scan_values(inst, grid)
-        assert np.array_equal(values, reference, equal_nan=True), workers
-        assert np.array_equal(np.signbit(values[finite]), np.signbit(reference[finite])), workers
+    values = nash._scan_values(inst, grid)
+    assert np.array_equal(values, reference, equal_nan=True)
+    assert np.array_equal(np.signbit(values[finite]), np.signbit(reference[finite]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -393,32 +388,28 @@ class TestLargeN:
         assert _outcome_digest(inst) == PINNED_DIGESTS[n, seed]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 513, 2049, 70000])
-    def test_scan_blocks_match_single_point_evaluations(self, monkeypatch, n):
-        # Grid lengths are not a multiple of a worker's block row count; at
-        # n=70000 one row alone exceeds the element budget.  The worker
-        # count is forced, so the threaded path runs on any host.
+    def test_scan_blocks_match_single_point_evaluations(self, n):
+        # Grid lengths are not a multiple of the block row count; at
+        # n=70000 one row alone exceeds the element budget.
         inst = random_instance(np.random.default_rng(n), n)
         rho_r = inst.values_b / inst.values_a * (inst.budget_a / inst.budget_b)
         length = 3 if n > nash._SCAN_BLOCK_ELEMENTS else nash.SCAN_CELLS + 1
         grid = np.linspace(0.5 * rho_r.min(), 2.0 * rho_r.max(), length)
         single = np.array([nash_poly(inst, mu) for mu in grid])
-        for workers in FORCED_WORKERS:
-            rows = max(1, nash._SCAN_BLOCK_ELEMENTS // (workers * n))
-            assert rows == 1 or length % rows
-            monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
-            blocked = nash._poly_values(inst, grid)
-            assert np.array_equal(blocked, single, equal_nan=True), workers
-            assert np.array_equal(np.signbit(blocked), np.signbit(single)), workers
+        rows = max(1, nash._SCAN_BLOCK_ELEMENTS // n)
+        assert rows == 1 or length % rows
+        blocked = nash._poly_values(inst, grid)
+        assert np.array_equal(blocked, single, equal_nan=True)
+        assert np.array_equal(np.signbit(blocked), np.signbit(single))
 
     @pytest.mark.parametrize("n, seed", sorted(CUT_CASES))
-    def test_cut_scan_matches_the_product_form_on_every_row(self, monkeypatch, n, seed):
+    def test_cut_scan_matches_the_product_form_on_every_row(self, n, seed):
         inst = random_instance(np.random.default_rng(seed), n)
-        assert_cut_scan_is_exact(monkeypatch, inst, solve_grid(inst), CUT_CASES[n, seed])
+        assert_cut_scan_is_exact(inst, solve_grid(inst), CUT_CASES[n, seed])
 
-    def test_cut_on_a_block_boundary(self, monkeypatch):
+    def test_cut_on_a_block_boundary(self):
         # The (128, 0) solve grid, resampled so that its first overflowing
-        # row is the first row after one worker's first block, which is
-        # also a block boundary at 2 and 4 workers.
+        # row is the first row after the scan's first block.
         inst = random_instance(np.random.default_rng(0), 128)
         grid = solve_grid(inst)
         cut, boundary = CUT_CASES[128, 0], nash._SCAN_BLOCK_ELEMENTS // 128
@@ -426,7 +417,7 @@ class TestLargeN:
             np.linspace(grid[0], grid[cut - 1], boundary),
             np.linspace(grid[cut], grid[-1], grid.size - boundary),
         ])
-        assert_cut_scan_is_exact(monkeypatch, inst, grid, boundary)
+        assert_cut_scan_is_exact(inst, grid, boundary)
 
     def test_nan_rule_stays_inside_the_interval(self):
         # Above max rho * r every term is positive, so an overflowing mu
@@ -436,54 +427,28 @@ class TestLargeN:
         assert np.isinf(np.square(mu + inst.values_b / inst.values_a).prod())
         assert nash_poly(inst, mu) == math.inf
 
-    def test_scan_memory_is_bounded(self, monkeypatch):
+    def test_scan_memory_is_bounded(self):
         # The unblocked scan held about 256 MB of (4097 x n) temporaries
-        # at n=2048; the blocked one reuses small row-block buffers whose
-        # total the workers share.  Every ratio lies in [0.5, 0.51] and
-        # r = 1, so no row product overflows and all 4097 rows are scanned.
+        # at n=2048; the blocked one reuses two small row-block buffers.
+        # Every ratio lies in [0.5, 0.51] and r = 1, so no row product
+        # overflows and all 4097 rows are scanned.
         rng = np.random.default_rng(0)
         values_a = rng.uniform(0.1, 10.0, 2048)
         inst = GameInstance(1.0, 1.0, values_a, values_a * rng.uniform(0.5, 0.51, 2048))
-        for workers in FORCED_WORKERS:
-            scanned = []
-            monkeypatch.setattr(
-                nash, "_scan_workers", lambda elements: scanned.append(elements) or workers
-            )
-            tracemalloc.start()
-            try:
-                solve_nash(inst)
-            finally:
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-            assert scanned[0] == (nash.SCAN_CELLS + 1) * 2048, workers
-            assert peak < 8 * 2**20, workers
-
-    def test_worker_count_follows_the_kept_rows(self, monkeypatch):
-        # gen --n 2048 --seed 0 keeps 2 of 4097 rows, so its scan asks for
-        # 2 * 2048 pairs and starts no thread pool.
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a scan thread pool started")
-
-        scanned, count = [], nash._scan_workers
-        monkeypatch.setattr(
-            nash, "_scan_workers", lambda elements: scanned.append(elements) or count(elements)
-        )
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        rho = inst.values_b / inst.values_a
+        assert nash._first_overflow(rho, solve_grid(inst)) == nash.SCAN_CELLS + 1
+        tracemalloc.start()
         try:
-            solve_nash(random_instance(np.random.default_rng(0), 2048))
-        except SolverInvariantError:  # the product form overflows at n=2048
-            pass
-        assert scanned[0] == CUT_CASES[2048, 0] * 2048
-        assert max(scanned) < nash._SCAN_THREAD_MIN_ELEMENTS
+            solve_nash(inst)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("workers", FORCED_WORKERS)
-    def test_worker_fault_reaches_the_caller(self, monkeypatch, workers):
-        # Only the last row overflows ((mu + rho)^2 at mu=1e200), and it
-        # belongs to the last worker, which must run under the caller's
-        # error state and raise here rather than leave its slice unfilled.
-        monkeypatch.setattr(nash, "_scan_workers", lambda elements: workers)
+    def test_worker_fault_reaches_the_caller(self):
+        # Only the last row overflows ((mu + rho)^2 at mu=1e200), and the
+        # scan must raise under the caller's error state rather than leave
+        # that row unfilled.
         inst = worked_example_instance(1.0)
         grid = np.append(np.linspace(0.5, 2.0, 63), 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -492,13 +457,14 @@ class TestLargeN:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             nash._poly_values(inst, grid)
 
-    def test_worker_count_follows_scan_size_and_affinity(self, monkeypatch):
-        monkeypatch.setattr(nash.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        cells = nash.SCAN_CELLS + 1
-        assert nash._scan_workers(cells * 16) == 1  # every CLI-sized solve
-        assert nash._scan_workers(nash._SCAN_THREAD_MIN_ELEMENTS - 1) == 1
-        assert nash._scan_workers(cells * 64) == 5  # one per block of the budget
-        assert nash._scan_workers(cells * 2048) == 8
+
+def test_overflowing_scan_records_no_warning():
+    # gen --n 512 --seed 1: most scan points overflow, and the solve succeeds.
+    inst = random_instance(np.random.default_rng(1), 512)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_nash(inst)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

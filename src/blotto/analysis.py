@@ -22,11 +22,13 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .commitment import CommitmentSolution, optimal_commitment, ratio_classes
+from .commitment import CommitmentSolution, optimal_commitment
 from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
+    canonical_ordering,
+    ratio_quotient,
 )
 from .nash import NashSolution, solve_nash
 
@@ -149,18 +151,16 @@ def check_coincidence(instance: GameInstance) -> CoincidenceReport:
     threshold (each class is collapsed to a super-battlefield by summing
     values).  Three or more classes: never.
     """
-    classes = tuple(tuple(c) for c in ratio_classes(instance))
+    canon, ordering = canonical_ordering(instance)
+    quotient = ratio_quotient(canon)
+    perm, ends = ordering.permutation.tolist(), np.cumsum(np.bincount(quotient.labels)).tolist()
+    classes = tuple(tuple(perm[start:end]) for start, end in zip([0, *ends], ends))
     if len(classes) == 1:
         return CoincidenceReport(classes, True, None)
     if len(classes) > 2:
         return CoincidenceReport(classes, False, None)
-    m, mbar = (np.asarray(c) for c in classes)
-    threshold = coincidence_threshold(
-        float(instance.values_a[m].sum()),
-        float(instance.values_b[m].sum()),
-        float(instance.values_a[mbar].sum()),
-        float(instance.values_b[mbar].sum()),
-    )
+    va, vb = quotient.game.values_a, quotient.game.values_b
+    threshold = coincidence_threshold(float(va[0]), float(vb[0]), float(va[1]), float(vb[1]))
     r = instance.budget_a / instance.budget_b
     coincides = abs(r - threshold) <= COINCIDENCE_RTOL * max(abs(r), abs(threshold))
     return CoincidenceReport(classes, coincides, threshold)

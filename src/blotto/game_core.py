@@ -7,11 +7,13 @@ battlefield's value is shared in proportion to the resources invested in
 it.  A battlefield that receives nothing from either side goes entirely to
 the follower.
 
-This module also provides the two utility-preserving game reductions of
-the paper: splitting one battlefield into equal-value sub-battlefields and
-merging a group of battlefields back together.  No solver calls them; the
-tests and the acceptance gate use them to check that the solvers respect
-both reductions.
+This module also provides the utility-preserving game reductions of the
+paper.  Both solvers work on ratio_quotient, which merges each ratio class
+(battlefields whose values_a/values_b ratios agree) into one battlefield.
+split_battlefield and merge_battlefields split one battlefield into
+equal-value sub-battlefields and merge a group back together; no solver
+calls those two, and the tests and the acceptance gate use them to check
+that the solvers respect both reductions.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ BUDGET_SUM_RTOL = 1e-9
 NEGATIVE_ENTRY_TOL = 1e-12
 # Relative tolerance for the merge-hypothesis equality checks.
 MERGE_RTOL = 1e-9
+# Two values_a/values_b ratios next to each other in ascending order that
+# agree to this relative tolerance share a ratio class.
+RATIO_CLASS_RTOL = 1e-9
 
 PLAYERS = ("a", "b")
 
@@ -270,6 +275,58 @@ def canonical_ordering(instance: GameInstance) -> tuple[GameInstance, Battlefiel
         values_b=instance.values_b[perm],
     )
     return permuted, ordering
+
+
+@dataclass(frozen=True, eq=False)
+class RatioQuotient:
+    """The ratio-class quotient of instance: game has one battlefield per
+    ratio class, in ascending ratio order, whose values are the class's
+    summed values, and labels[j] is the battlefield of game that holds
+    battlefield j of instance.  When no two battlefields share a class,
+    game is instance itself, in its own order."""
+
+    instance: GameInstance
+    game: GameInstance
+    labels: np.ndarray
+
+    def spread(self, alloc: Allocation) -> Allocation:
+        """An allocation on game as one on instance: each class's amount
+        split over its battlefields in proportion to values_a.  alloc
+        itself when game is instance."""
+        if self.game is self.instance:
+            return alloc
+        share = self.instance.values_a / self.game.values_a[self.labels]
+        return Allocation(alloc.amounts[self.labels] * share, alloc.budget)
+
+
+def ratio_quotient(instance: GameInstance) -> RatioQuotient:
+    """Merge each ratio class of instance into one battlefield.
+
+    A class is a run of ascending ratios in which each ratio agrees with
+    the one before it to RATIO_CLASS_RTOL, so a class is a chain and the
+    ratios of adjacent classes differ by more than that.  When both
+    players split a class's amount in proportion to values_a
+    (RatioQuotient.spread), each of its battlefields pays out the merged
+    battlefield's shares, to the ratios' agreement.  Without a shared class
+    this costs one sort of the n ratios and builds nothing.
+    """
+    ratios = instance.values_a / instance.values_b
+    ascending = np.sort(ratios)
+    joined = ascending[1:] - ascending[:-1] <= RATIO_CLASS_RTOL * ascending[1:]
+    if not joined.any():
+        return RatioQuotient(instance, instance, np.arange(instance.n))
+    order = np.argsort(ratios, kind="stable")
+    new_class = np.concatenate(([True], ~joined))
+    starts = np.flatnonzero(new_class)
+    labels = np.empty(instance.n, dtype=int)
+    labels[order] = np.cumsum(new_class) - 1
+    game = GameInstance(
+        budget_a=instance.budget_a,
+        budget_b=instance.budget_b,
+        values_a=np.add.reduceat(instance.values_a[order], starts),
+        values_b=np.add.reduceat(instance.values_b[order], starts),
+    )
+    return RatioQuotient(instance, game, labels)
 
 
 def split_battlefield(

@@ -1,5 +1,10 @@
 """Pure Nash equilibrium of the simultaneous-move game.
 
+solve_nash works on the ratio-class quotient (game_core.ratio_quotient),
+so n below counts ratio classes.  The equilibrium itself splits a class
+in proportion to values_a, which is how the quotient's amounts are spread
+back over it.
+
 The equilibrium is characterized by a positive root mu* of a degree-2n
 polynomial built from the value ratios rho_h = v_bh / v_ah and the budget
 ratio r = x_a / x_b; both players' allocations then follow in closed form.
@@ -37,6 +42,7 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
+    ratio_quotient,
     total_utility,
 )
 
@@ -58,9 +64,9 @@ BRENT_MAXITER = 100
 class NashSolution:
     """Equilibrium profile; candidate_roots lists every root of f located on
     the interval, including the ones dropped because they do not rebuild a
-    valid mutual best response.  From about n = 64 the product form
-    overflows above some mu, where f is NaN, so the roots there are not
-    located; that is why most solves fail at n >= 512."""
+    valid mutual best response.  From about n = 64 ratio classes the
+    product form overflows above some mu, where f is NaN, so the roots
+    there are not located; that is why most solves fail at n >= 512."""
 
     mu_star: float
     alloc_a: Allocation
@@ -227,10 +233,14 @@ def _mutual_br(instance: GameInstance, alloc_a: Allocation, alloc_b: Allocation)
 def solve_nash(instance: GameInstance) -> NashSolution:
     """Find mu* and rebuild both equilibrium allocations.
 
-    Scans the root interval in SCAN_CELLS cells, refines every sign change
-    with brentq (the in-repo Brent method), keeps the roots whose
-    reconstructed profiles are valid allocations and mutual best responses,
-    and among those returns the one with the highest leader utility.
+    Solves the ratio-class quotient of instance, whose mu*, roots and
+    utilities it reports, and spreads each class's amounts over the class.
+    A one-class quotient has lo == hi, and its root is that point.
+    Otherwise this scans the root interval in SCAN_CELLS cells, refines
+    every sign change with brentq (the in-repo Brent method), keeps the
+    roots whose reconstructed profiles are valid allocations and mutual
+    best responses, and among those returns the one with the highest
+    leader utility.
 
     The scan evaluates f only below the first grid point whose product
     fl(prod_j (mu + rho_j)^2) is inf (_first_overflow), and takes f as NaN
@@ -255,22 +265,24 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     Raises SolverInvariantError when no root survives, or when brentq does
     not converge in a cell.
     """
-    rho = instance.values_b / instance.values_a
-    r = instance.budget_a / instance.budget_b
+    quotient = ratio_quotient(instance)
+    game = quotient.game
+    rho = game.values_b / game.values_a
+    r = game.budget_a / game.budget_b
     lo = float(rho.min()) * r
     hi = float(rho.max()) * r
 
-    if hi - lo <= 1e-14 * hi:  # uniform ratios: the root is the interval itself
-        roots = [(lo + hi) / 2]
+    if lo == hi:  # one ratio class: the root is the interval itself
+        roots = [lo]
     else:
         grid = np.linspace(lo, hi, SCAN_CELLS + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _scan_values(instance, grid)
+            vals = _scan_values(game, grid)
             roots = [float(g) for g in grid[vals == 0]]
             signs = np.sign(vals)
             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
                 try:
-                    root = brentq(lambda m: nash_poly(instance, m), grid[i], grid[i + 1])
+                    root = brentq(lambda m: nash_poly(game, m), grid[i], grid[i + 1])
                 except ValueError:  # f is NaN inside the cell: no usable root
                     continue
                 roots.append(float(root))
@@ -284,8 +296,8 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     candidates = []
     for mu in roots:
         try:
-            alloc_a, alloc_b = _reconstruct(instance, mu)
-            if _mutual_br(instance, alloc_a, alloc_b):
+            alloc_a, alloc_b = _reconstruct(game, mu)
+            if _mutual_br(game, alloc_a, alloc_b):
                 candidates.append((mu, alloc_a, alloc_b))
         except InputError:  # not a valid, strictly positive allocation pair
             continue
@@ -295,16 +307,16 @@ def solve_nash(instance: GameInstance) -> NashSolution:
         )
 
     scored = [
-        (total_utility(instance, "a", aa, ab), mu, aa, ab)
+        (total_utility(game, "a", aa, ab), mu, aa, ab)
         for mu, aa, ab in candidates
     ]
     scored.sort(key=lambda item: item[0])
     u_a, mu_star, alloc_a, alloc_b = scored[-1]
     return NashSolution(
         mu_star=float(mu_star),
-        alloc_a=alloc_a,
-        alloc_b=alloc_b,
+        alloc_a=quotient.spread(alloc_a),
+        alloc_b=quotient.spread(alloc_b),
         leader_utility=u_a,
-        follower_utility=total_utility(instance, "b", alloc_a, alloc_b),
+        follower_utility=total_utility(game, "b", alloc_a, alloc_b),
         candidate_roots=tuple(roots),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blotto import Allocation, GameInstance
+from blotto import Allocation, GameInstance, check_coincidence
 
 # Same distribution the CLI `gen` subcommand uses, so property tests and
 # generated corpora exercise identical input ranges.
@@ -37,6 +37,24 @@ def worked_example_instance(r: float) -> GameInstance:
         values_a=np.array([1.0, 5.0]),
         values_b=np.array([1.0, 0.5]),
     )
+
+
+def tied_instance(n, seed, budget_a):
+    """values_b = values_a times a per-battlefield draw from {0.5, 1, 2}, so
+    the battlefields fall into two or three exact ratio classes."""
+    rng = np.random.default_rng(seed)
+    va = rng.uniform(0.1, 10.0, n)
+    return GameInstance(budget_a, 1.0, va, va * rng.choice([0.5, 1.0, 2.0], n))
+
+
+def two_class_instance(n, seed):
+    """values_b = values_a times 0.5 on even and 2 on odd battlefields, with
+    values_a drawn U[0.1, 10], x_b = 1 and x_a at the coincidence threshold
+    of the two ratio classes; n >= 2."""
+    va = np.random.default_rng(seed).uniform(0.1, 10.0, n)
+    vb = va * np.where(np.arange(n) % 2 == 0, 0.5, 2.0)
+    threshold = check_coincidence(GameInstance(1.0, 1.0, va, vb)).threshold
+    return GameInstance(threshold, 1.0, va, vb)
 
 
 @pytest.fixture

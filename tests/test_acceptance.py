@@ -31,7 +31,12 @@ from blotto import (
     total_utility,
 )
 from blotto.commitment import threshold_allocation_outside_support
-from conftest import random_instance, random_positive_allocation, worked_example_instance
+from conftest import (
+    random_instance,
+    random_positive_allocation,
+    two_class_instance,
+    worked_example_instance,
+)
 
 
 @contextmanager
@@ -145,19 +150,32 @@ def test_criterion_02_worked_example_strong_leader():
         assert se.follower_utility == pytest.approx(0.657, abs=1e-3)
 
 
+def _assert_coincide(inst, se):
+    ne = solve_nash(inst)
+    se_reply = best_response(inst, se.allocation)
+    np.testing.assert_allclose(
+        se.allocation.amounts, ne.alloc_a.amounts, rtol=1e-6
+    )
+    np.testing.assert_allclose(
+        se_reply.allocation.amounts, ne.alloc_b.amounts, rtol=1e-6
+    )
+    assert se.leader_utility == pytest.approx(ne.leader_utility, abs=1e-8)
+    assert se.follower_utility == pytest.approx(ne.follower_utility, abs=1e-8)
+
+
 def test_criterion_03_equilibria_coincide_at_threshold_ratio():
     with criterion(3, runtime_limit=1.0):
-        inst, se = _threshold_solution()
-        ne = solve_nash(inst)
-        se_reply = best_response(inst, se.allocation)
-        np.testing.assert_allclose(
-            se.allocation.amounts, ne.alloc_a.amounts, rtol=1e-6
-        )
-        np.testing.assert_allclose(
-            se_reply.allocation.amounts, ne.alloc_b.amounts, rtol=1e-6
-        )
-        assert se.leader_utility == pytest.approx(ne.leader_utility, abs=1e-8)
-        assert se.follower_utility == pytest.approx(ne.follower_utility, abs=1e-8)
+        _assert_coincide(*_threshold_solution())
+
+
+@pytest.mark.parametrize("n", [2, 16, 256, 2048])
+@pytest.mark.parametrize("seed", range(3))
+def test_criterion_03_two_class_family_coincides_at_every_n(n, seed):
+    # Ratio classes 0.5 and 2 alternate over n battlefields, at the
+    # coincidence threshold; both solvers work on the 2-battlefield quotient.
+    with criterion(3, runtime_limit=1.0):
+        inst = two_class_instance(n, seed)
+        _assert_coincide(inst, optimal_commitment(inst))
 
 
 def test_criterion_04_best_response_matches_grid_oracle():

@@ -155,6 +155,31 @@ class TestSolveCommitment:
         assert "OverflowError" in err
 
 
+    def test_expected_overflow_prints_only_the_failure(self, tmp_path):
+        # `gen --n 3 --seed 2` times 1e100: CASE_2_2 overflows on the way to
+        # exit 3, and numpy's RuntimeWarnings must not reach the console.  A
+        # fresh process, because pytest captures warnings.
+        gen_path = tmp_path / "g.json"
+        assert main(["gen", "--n", "3", "--seed", "2", "--out", str(gen_path)]) == 0
+        data = json.loads(gen_path.read_text())
+        for key in ("budget_a", "budget_b"):
+            data[key] *= 1e100
+        for key in ("values_a", "values_b"):
+            data[key] = [v * 1e100 for v in data[key]]
+        path = write_json(tmp_path, "huge.json", data)
+        result = subprocess.run(
+            [sys.executable, "-m", "blotto.cli", "solve-commitment", "--instance", path],
+            env=fresh_process_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "solver invariant failure" in lines[0]
+
+
 class TestSolveNash:
     def test_worked_example(self, tmp_path):
         path = worked_example_json(tmp_path, 2.0)

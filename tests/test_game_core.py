@@ -1,4 +1,5 @@
-"""Instance/allocation types, utilities, ordering, and the split/merge maps."""
+"""Instance/allocation types, utilities, ordering, the split/merge maps, and
+the ratio-class quotient both solvers work on."""
 
 import numpy as np
 import pytest
@@ -10,15 +11,27 @@ from blotto import (
     GameInstance,
     InputError,
     PreconditionError,
+    best_response,
     canonical_ordering,
+    check_coincidence,
     instance_from_dict,
     instance_to_dict,
     merge_battlefields,
+    optimal_commitment,
+    solve_nash,
     split_battlefield,
     total_utility,
     utility_per_battlefield,
 )
-from conftest import random_instance, random_positive_allocation, worked_example_instance
+from blotto.game_core import RATIO_CLASS_RTOL, ratio_quotient
+from blotto.nash import _mutual_br
+from conftest import (
+    random_instance,
+    random_positive_allocation,
+    tied_instance,
+    two_class_instance,
+    worked_example_instance,
+)
 
 
 def make(budget_a, budget_b, values_a, values_b):
@@ -273,3 +286,99 @@ class TestSplitMerge:
         inst2, a2, b2 = split_battlefield(inst, j, t, a, b)
         assert total_utility(inst2, "a", a2, b2) == pytest.approx(ua, rel=1e-12)
         assert total_utility(inst2, "b", a2, b2) == pytest.approx(ub, rel=1e-12)
+
+
+def representative_classes(instance):
+    """Ratio classes as a loop forms them when each ratio, in canonical
+    order, joins the current class if it agrees with that class's first
+    ratio to RATIO_CLASS_RTOL."""
+    _, ordering = canonical_ordering(instance)
+    classes = []
+    for j, ratio in zip(ordering.permutation.tolist(), ordering.ratios.tolist()):
+        if classes and abs(ratio - rep) <= RATIO_CLASS_RTOL * max(abs(ratio), abs(rep)):
+            classes[-1].append(j)
+        else:
+            classes.append([j])
+            rep = ratio
+    return tuple(tuple(c) for c in classes)
+
+
+def quotient_classes(instance):
+    """The battlefields of each quotient battlefield, as sorted tuples."""
+    labels = ratio_quotient(instance).labels
+    return [tuple(np.flatnonzero(labels == c).tolist()) for c in range(labels.max() + 1)]
+
+
+TIED_CASES = [(8, 2, 20.0), (8, 16, 2.0), (8, 0, 2.0), (16, 1, 20.0), (16, 0, 20.0),
+              (32, 1, 20.0), (32, 0, 0.5), (64, 0, 2.0)]
+TWO_CLASS_CASES = [(n, seed) for n in (2, 16, 256, 2048) for seed in range(3)]
+
+
+def quotient_corpus():
+    yield from (tied_instance(*case) for case in TIED_CASES)
+    yield from (two_class_instance(*case) for case in TWO_CLASS_CASES)
+
+
+class TestRatioQuotient:
+    def test_rule_matches_the_representative_loop(self):
+        rng = np.random.default_rng(7)
+        gen = [random_instance(rng, int(n)) for n in rng.integers(1, 65, 200)]
+        for inst in [*quotient_corpus(), *gen]:
+            expected = representative_classes(inst)
+            assert check_coincidence(inst).ratio_classes == expected
+            assert sorted(quotient_classes(inst)) == sorted(tuple(sorted(c)) for c in expected)
+
+    def test_a_chain_of_close_ratios_is_one_class(self):
+        # Neighbours agree to 0.6e-9, the ends only to 1.2e-9: one class by
+        # the adjacent rule, two by comparing with the first ratio.
+        inst = make(1.0, 1.0, [1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9], [1.0, 1.0, 1.0])
+        assert representative_classes(inst) == ((0, 1), (2,))
+        quotient = ratio_quotient(inst)
+        assert quotient.game.n == 1
+        assert quotient.labels.tolist() == [0, 0, 0]
+        assert check_coincidence(inst).ratio_classes == ((0, 1, 2),)
+
+    def test_distinct_ratios_leave_the_instance_itself(self):
+        inst = random_instance(np.random.default_rng(3), 64)
+        quotient = ratio_quotient(inst)
+        alloc = random_positive_allocation(np.random.default_rng(4), 64, inst.budget_a)
+        assert quotient.game is inst
+        assert quotient.spread(alloc) is alloc
+
+    def test_quotient_sums_each_class_in_ascending_ratio_order(self):
+        inst = make(1.0, 1.0, [1.0, 4.0, 2.0, 3.0], [2.0, 1.0, 4.0, 0.75])
+        quotient = ratio_quotient(inst)
+        assert quotient.labels.tolist() == [0, 1, 0, 1]
+        assert quotient.game.values_a.tolist() == [3.0, 7.0]
+        assert quotient.game.values_b.tolist() == [6.0, 1.75]
+
+
+def _assert_proportional_in_classes(inst, amounts):
+    labels = ratio_quotient(inst).labels
+    for c in range(labels.max() + 1):
+        per_value = amounts[labels == c] / inst.values_a[labels == c]
+        assert np.ptp(per_value) <= 1e-12 * per_value.max()
+
+
+@pytest.mark.parametrize("inst", list(quotient_corpus()), ids=lambda inst: f"n{inst.n}")
+class TestSolversOnTheQuotient:
+    def test_commitment_spreads_whole_classes(self, inst):
+        sol = optimal_commitment(inst)
+        labels = ratio_quotient(inst).labels
+        support = set(sol.support)
+        assert support == set(np.flatnonzero(np.isin(labels, labels[list(support)])).tolist())
+        _assert_proportional_in_classes(inst, sol.allocation.amounts)
+        reply = best_response(inst, sol.allocation)
+        assert set(reply.support) == support
+        for player, reported in (("a", sol.leader_utility), ("b", sol.follower_utility)):
+            realized = total_utility(inst, player, sol.allocation, reply.allocation)
+            assert realized == pytest.approx(reported, rel=1e-12)
+
+    def test_nash_spreads_whole_classes(self, inst):
+        ne = solve_nash(inst)
+        _assert_proportional_in_classes(inst, ne.alloc_a.amounts)
+        _assert_proportional_in_classes(inst, ne.alloc_b.amounts)
+        for player, reported in (("a", ne.leader_utility), ("b", ne.follower_utility)):
+            realized = total_utility(inst, player, ne.alloc_a, ne.alloc_b)
+            assert realized == pytest.approx(reported, rel=1e-12)
+        assert _mutual_br(inst, ne.alloc_a, ne.alloc_b)

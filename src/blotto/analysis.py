@@ -24,6 +24,7 @@ import numpy as np
 
 from .commitment import CommitmentSolution, optimal_commitment
 from .game_core import (
+    RATIO_CLASS_RTOL,
     GameInstance,
     InputError,
     SolverInvariantError,
@@ -123,7 +124,7 @@ def coincidence_threshold(
     sums = (v_aM, v_bM, v_aMbar, v_bMbar)
     if any(not (s > 0) or not math.isfinite(s) for s in sums):
         raise InputError(f"class value sums must be positive reals, got {sums}")
-    if abs(v_aM / v_bM - v_aMbar / v_bMbar) <= COINCIDENCE_RTOL * max(
+    if abs(v_aM / v_bM - v_aMbar / v_bMbar) <= RATIO_CLASS_RTOL * max(
         v_aM / v_bM, v_aMbar / v_bMbar
     ):
         raise InputError(

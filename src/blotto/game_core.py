@@ -7,13 +7,14 @@ battlefield's value is shared in proportion to the resources invested in
 it.  A battlefield that receives nothing from either side goes entirely to
 the follower.
 
-This module also provides the utility-preserving game reductions of the
-paper.  Both solvers work on ratio_quotient, which merges each ratio class
-(battlefields whose values_a/values_b ratios agree) into one battlefield.
-split_battlefield and merge_battlefields split one battlefield into
-equal-value sub-battlefields and merge a group back together; no solver
-calls those two, and the tests and the acceptance gate use them to check
-that the solvers respect both reductions.
+This module also provides the paper's utility-preserving game reductions.
+Merging a group of battlefields into one, summing values and amounts, keeps
+both utilities when both players split the group in one proportion (x_aj/x_bj
+equal across it).  Both solvers work on ratio_quotient, which merges each
+ratio class (battlefields whose values_a/values_b ratios agree) and spreads
+amounts back in proportion to values_a, one such split.  No solver calls
+split_battlefield or merge_battlefields; the tests use them to check that
+the solvers respect both reductions.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import numpy as np
 BUDGET_SUM_RTOL = 1e-9
 # Negative allocation entries above this (relative to budget) are clamped to 0.
 NEGATIVE_ENTRY_TOL = 1e-12
-# Relative tolerance for the merge-hypothesis equality checks.
-MERGE_RTOL = 1e-9
 # Two values_a/values_b ratios next to each other in ascending order that
-# agree to this relative tolerance share a ratio class.
+# agree to this relative tolerance share a ratio class; two battlefields
+# whose x_a/x_b proportions agree to it can be merged.
 RATIO_CLASS_RTOL = 1e-9
 
 PLAYERS = ("a", "b")
@@ -291,12 +291,24 @@ class RatioQuotient:
 
     def spread(self, alloc: Allocation) -> Allocation:
         """An allocation on game as one on instance: each class's amount
-        split over its battlefields in proportion to values_a.  alloc
-        itself when game is instance."""
-        if self.game is self.instance:
-            return alloc
+        split over its battlefields in proportion to values_a.  A
+        one-battlefield class keeps its amount, times exactly 1.0."""
         share = self.instance.values_a / self.game.values_a[self.labels]
         return Allocation(alloc.amounts[self.labels] * share, alloc.budget)
+
+
+def _contract(instance, order, labels, allocs=()):
+    """instance and allocs with the battlefields that share a label summed
+    into battlefield labels[j] of the result.  order lists the battlefields
+    grouped by ascending label, each group in the order it is added up."""
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+
+    def add(vec: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(vec[order], starts)
+
+    game = GameInstance(instance.budget_a, instance.budget_b,
+                        add(instance.values_a), add(instance.values_b))
+    return game, [Allocation(add(alloc.amounts), alloc.budget) for alloc in allocs]
 
 
 def ratio_quotient(instance: GameInstance) -> RatioQuotient:
@@ -316,16 +328,9 @@ def ratio_quotient(instance: GameInstance) -> RatioQuotient:
     if not joined.any():
         return RatioQuotient(instance, instance, np.arange(instance.n))
     order = np.argsort(ratios, kind="stable")
-    new_class = np.concatenate(([True], ~joined))
-    starts = np.flatnonzero(new_class)
     labels = np.empty(instance.n, dtype=int)
-    labels[order] = np.cumsum(new_class) - 1
-    game = GameInstance(
-        budget_a=instance.budget_a,
-        budget_b=instance.budget_b,
-        values_a=np.add.reduceat(instance.values_a[order], starts),
-        values_b=np.add.reduceat(instance.values_b[order], starts),
-    )
+    labels[order] = np.cumsum(np.concatenate(([True], ~joined))) - 1
+    game, _ = _contract(instance, order, labels)
     return RatioQuotient(instance, game, labels)
 
 
@@ -362,10 +367,6 @@ def split_battlefield(
     return new_instance, new_a, new_b
 
 
-def _equal_within(x: float, y: float, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(abs(x), abs(y))
-
-
 def merge_battlefields(
     instance: GameInstance,
     group: Iterable[int],
@@ -374,72 +375,67 @@ def merge_battlefields(
 ) -> tuple[GameInstance, Allocation, Allocation]:
     """Merge a group of battlefields into one, summing values and amounts.
 
-    Requires the group to look like the output of a split: equal leader
-    values and equal per-battlefield amounts for both players across the
-    group (relative tolerance MERGE_RTOL).  Follower values may differ.
-    Under that hypothesis both players' utilities are preserved.  The
-    merged battlefield takes the position of the smallest group index.
+    Requires both players to split the group in one proportion: with h the
+    smallest group index, x_aj * x_bh and x_ah * x_bj agree to
+    RATIO_CLASS_RTOL for every j in the group, and a battlefield that
+    neither player invests in is grouped only with others like it.  Each
+    battlefield of the group then pays each player the same share of its
+    value as the merged one does, so both players' utilities are preserved
+    whatever the values.  split_battlefield and RatioQuotient.spread make
+    such groups, so merging undoes them.  The merged battlefield takes the
+    position of h.
     """
     _check_alloc(instance, alloc_a, "a")
     _check_alloc(instance, alloc_b, "b")
-    idx = sorted({_check_index(instance, g) for g in group})
-    if not idx:
+    idx = np.array(sorted({_check_index(instance, g) for g in group}), dtype=int)
+    if not idx.size:
         raise InputError("merge group must be non-empty")
     head = idx[0]
-    checks = (
-        ("values_a", instance.values_a),
-        ("leader allocation", alloc_a.amounts),
-        ("follower allocation", alloc_b.amounts),
-    )
-    for name, vec in checks:
-        for g in idx[1:]:
-            if not _equal_within(float(vec[head]), float(vec[g]), MERGE_RTOL):
-                raise PreconditionError(
-                    f"merge hypothesis violated: {name} differs between "
-                    f"battlefields {head} and {g} "
-                    f"({vec[head]!r} vs {vec[g]!r})"
-                )
-
-    drop = set(idx[1:])
-    keep = [k for k in range(instance.n) if k not in drop]
-
-    def contract(vec: np.ndarray) -> np.ndarray:
-        out = vec[keep].copy()
-        out[keep.index(head)] = vec[idx].sum()
-        return out
-
-    new_instance = GameInstance(
-        budget_a=instance.budget_a,
-        budget_b=instance.budget_b,
-        values_a=contract(instance.values_a),
-        values_b=contract(instance.values_b),
-    )
-    new_a = Allocation(contract(alloc_a.amounts), instance.budget_a)
-    new_b = Allocation(contract(alloc_b.amounts), instance.budget_b)
+    xa, xb = alloc_a.amounts[idx], alloc_b.amounts[idx]
+    # Each player's amounts scaled to a largest entry of 1: the products stay finite.
+    ua, ub = xa / (xa.max() or 1.0), xb / (xb.max() or 1.0)
+    cross, own = ua * ub[0], ua[0] * ub
+    idle = xa + xb == 0
+    apart = (np.abs(cross - own) > RATIO_CLASS_RTOL * np.maximum(cross, own)) | (idle != idle[0])
+    if apart.any():
+        k = int(np.argmax(apart))
+        raise PreconditionError(
+            f"merge hypothesis violated: battlefields {head} and {idx[k]} are split in "
+            f"different proportions (x_a {xa[[0, k]].tolist()}, x_b {xb[[0, k]].tolist()})"
+        )
+    labels = np.cumsum(~np.isin(np.arange(instance.n), idx[1:])) - 1
+    labels[idx] = labels[head]
+    order = np.argsort(labels, kind="stable")
+    new_instance, (new_a, new_b) = _contract(instance, order, labels, (alloc_a, alloc_b))
     return new_instance, new_a, new_b
+
+
+def _json_numbers(x, name: str):
+    """x, unless it is or holds a JSON boolean or string: float() reads true
+    as 1.0 and "2.5" as 2.5, but neither is a JSON number."""
+    if any(isinstance(v, (bool, str)) for v in (x if isinstance(x, (list, tuple)) else [x])):
+        raise InputError(f"{name} must be numeric: JSON booleans and strings are not numbers")
+    return x
 
 
 def instance_from_dict(data) -> GameInstance:
     """Build a GameInstance from the JSON instance schema.
 
     Expected keys: "budget_a", "budget_b", "values_a", "values_b"; n is
-    inferred from the array lengths.  Unknown keys (e.g. "commit_a") are
-    ignored here so callers can carry extra payload.
+    inferred from the array lengths.  Every number must be a JSON number;
+    a string or boolean raises InputError naming its field.  Unknown keys
+    (e.g. "commit_a") are ignored here so callers can carry extra payload.
     """
     if not isinstance(data, dict):
         raise InputError("instance JSON must be a single object")
-    missing = [k for k in ("budget_a", "budget_b", "values_a", "values_b") if k not in data]
+    keys = ("budget_a", "budget_b", "values_a", "values_b")
+    missing = [k for k in keys if k not in data]
     if missing:
         raise InputError(f"instance JSON missing keys: {', '.join(missing)}")
     for key in ("values_a", "values_b"):
         if not isinstance(data[key], (list, tuple)):
             raise InputError(f"instance key {key!r} must be an array of reals")
-    return GameInstance(
-        budget_a=data["budget_a"],
-        budget_b=data["budget_b"],
-        values_a=data["values_a"],
-        values_b=data["values_b"],
-    )
+    return GameInstance(**{key: _json_numbers(data[key], key) for key in keys})
 
 
 def instance_to_dict(instance: GameInstance) -> dict:

@@ -448,8 +448,16 @@ class TestInputErrors:
             ({"budget_a": [2]}, "budget_a"),
             ({"commit_a": "x"}, "commit_a"),
             ({"commit_a": {"a": 1}}, "commit_a"),
+            ({"budget_a": "2.5"}, "budget_a"),
+            ({"budget_b": True}, "budget_b"),
+            ({"values_a": ["1", "2"]}, "values_a"),
+            ({"values_b": [True, 0.5]}, "values_b"),
+            ({"commit_a": ["0.5", 0.5]}, "commit_a"),
+            ({"commit_a": [True, False]}, "commit_a"),
         ],
-        ids=["string-value", "list-budget", "string-commit", "object-commit"],
+        ids=["string-value", "list-budget", "string-commit", "object-commit",
+             "numeric-string-budget", "bool-budget", "numeric-string-values",
+             "bool-value", "numeric-string-commit", "bool-commit"],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, change, field):
         data = {"budget_a": 1.0, "budget_b": 1.0, "values_a": [1.0, 2.0],
@@ -460,14 +468,18 @@ class TestInputErrors:
         assert err.startswith("error: ") and f": {field}" in err
         assert "must be numeric" in err
 
-    def test_numeric_strings_still_convert(self, tmp_path):
+    def test_numeric_strings_exit_2(self, tmp_path, capsys):
+        # float() would read "2.5" as 2.5 and true as 1.0; JSON has numbers
+        # for that, so a string or boolean field is an input error.
         path = write_json(
             tmp_path,
             "strings.json",
-            {"budget_a": "1.0", "budget_b": 1, "values_a": ["1.0", 2],
-             "values_b": [1, 1.0], "commit_a": ["0.5", 0.5]},
+            {"budget_a": "2.5", "budget_b": True, "values_a": ["1", "5"],
+             "values_b": [True, 0.5]},
         )
-        assert main(["solve-br", "--instance", path, "--out", str(tmp_path / "o.json")]) == 0
+        assert main(["solve-commitment", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ": budget_a must be numeric" in err
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = write_json(

@@ -246,12 +246,37 @@ class TestSplitMerge:
         assert np.allclose(b2.amounts, b.amounts)
 
     def test_merge_rejects_unequal_groups_naming_the_pair(self):
-        inst = make(1.0, 1.0, [2.0, 3.0], [1.0, 1.0])
-        a = Allocation(np.array([0.5, 0.5]), 1.0)
-        b = Allocation(np.array([0.5, 0.5]), 1.0)
+        # x_a/x_b is 1 on battlefield 0 and 1/3 on battlefield 2.
+        inst = make(1.0, 1.0, [2.0, 3.0, 1.0], [1.0, 1.0, 1.0])
+        a = Allocation(np.array([0.25, 0.5, 0.25]), 1.0)
+        b = Allocation(np.array([0.25, 0.0, 0.75]), 1.0)
         with pytest.raises(PreconditionError) as err:
-            merge_battlefields(inst, [0, 1], a, b)
-        assert "0" in str(err.value) and "1" in str(err.value)
+            merge_battlefields(inst, [2, 0], a, b)
+        assert "battlefields 0 and 2" in str(err.value)
+
+    def test_merge_keeps_an_idle_battlefield_apart_from_invested_ones(self):
+        inst = make(1.0, 1.0, [2.0, 3.0, 1.0], [1.0, 1.0, 1.0])
+        a = Allocation(np.array([0.5, 0.0, 0.5]), 1.0)
+        b = Allocation(np.array([0.5, 0.0, 0.5]), 1.0)
+        for group in ([0, 1], [1, 2]):
+            with pytest.raises(PreconditionError, match="battlefields"):
+                merge_battlefields(inst, group, a, b)
+        inst2, a2, b2 = merge_battlefields(inst, [0, 2], a, b)
+        assert inst2.values_a.tolist() == [3.0, 3.0]
+        assert a2.amounts.tolist() == [1.0, 0.0]
+        for p in "ab":
+            assert total_utility(inst2, p, a2, b2) == total_utility(inst, p, a, b)
+
+    def test_merge_accepts_one_proportion_over_unequal_values(self):
+        inst = make(2.0, 1.0, [2.0, 3.0, 1.0], [1.0, 4.0, 0.5])
+        a = Allocation(np.array([0.2, 1.2, 0.6]), 2.0)
+        b = Allocation(np.array([0.1, 0.6, 0.3]), 1.0)
+        inst2, a2, b2 = merge_battlefields(inst, [0, 1, 2], a, b)
+        assert inst2.values_b.tolist() == [5.5]
+        for p in "ab":
+            assert total_utility(inst2, p, a2, b2) == pytest.approx(
+                total_utility(inst, p, a, b), rel=1e-12
+            )
 
     def test_split_then_merge_recovers_instance(self, rng):
         for _ in range(20):
@@ -268,6 +293,16 @@ class TestSplitMerge:
             assert np.allclose(inst3.values_b, inst.values_b, rtol=1e-12)
             assert np.allclose(a3.amounts, a.amounts, rtol=1e-9, atol=1e-15)
             assert np.allclose(b3.amounts, b.amounts, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_split_then_merge_at_extreme_scales(self, scale):
+        inst = make(2.0 * scale, 3.0 * scale, [1.0, 2.0], [2.0, 1.0])
+        a = Allocation(np.array([0.5, 1.5]) * scale, 2.0 * scale)
+        b = Allocation(np.array([1.0, 2.0]) * scale, 3.0 * scale)
+        inst2, a2, b2 = split_battlefield(inst, 1, 3, a, b)
+        inst3, a3, b3 = merge_battlefields(inst2, [1, 2, 3], a2, b2)
+        np.testing.assert_allclose(a3.amounts, a.amounts, rtol=1e-12)
+        np.testing.assert_allclose(b3.amounts, b.amounts, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,7 +378,9 @@ class TestRatioQuotient:
         quotient = ratio_quotient(inst)
         alloc = random_positive_allocation(np.random.default_rng(4), 64, inst.budget_a)
         assert quotient.game is inst
-        assert quotient.spread(alloc) is alloc
+        spread = quotient.spread(alloc)
+        assert spread.budget == alloc.budget
+        assert spread.amounts.tobytes() == alloc.amounts.tobytes()
 
     def test_quotient_sums_each_class_in_ascending_ratio_order(self):
         inst = make(1.0, 1.0, [1.0, 4.0, 2.0, 3.0], [2.0, 1.0, 4.0, 0.75])

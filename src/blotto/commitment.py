@@ -44,6 +44,16 @@ whose support is not K or whose numbers break down at extreme scales (a
 float overflow, or a spend that is not a valid allocation).
 optimal_commitment keeps the best remaining candidate and raises
 SolverInvariantError when none is left.
+
+optimal_commitment does not solve every prefix.  _prefix_bounds bounds,
+from prefix sums, the leader utility of any allocation whose follower
+reply has support exactly K, for every k at once.  Prefixes are solved in
+descending bound order, and the search stops at the first bound below the
+best valid utility so far times 1 - (n + 2) * TIE_RTOL.  The solved
+candidates are then folded in ascending k, with the tie rule below, and no
+skipped prefix could have changed that fold, so the result is the one
+solving every prefix gives, bit for bit (optimal_commitment's docstring
+has the argument).
 """
 
 from __future__ import annotations
@@ -547,25 +557,93 @@ def _prefix_candidate(
     return cand, None
 
 
+def _prefix_bounds(game: GameInstance) -> np.ndarray:
+    """Upper bound on the leader utility of any allocation whose follower
+    reply has support exactly K = the first k battlefields of canonical
+    instance game, for every k at once (entry k - 1), from prefix sums.
+
+    With X = sum_K x_aj, the water filling on K gives the leader S * W /
+    (X + x_b) there, where S = sum_K sqrt(x_aj v_bj) and W = sum_K v_aj
+    sqrt(x_aj / v_bj).  S * W is a quadratic form in sqrt(x_a) whose
+    largest eigenvalue bounds it by X (sqrt(c_K v_bK) + v_aK) / 2.  Parking
+    each battlefield outside K at or above its threshold costs v_bKbar (X +
+    x_b)^2 / S^2 >= v_bKbar (X + x_b)^2 / (v_bK X) (Cauchy-Schwarz on S),
+    so X + that cost <= x_a: X is at most the larger root of the CASE_1
+    quadratic (v_bK + v_bKbar) X^2 + (2 x_b v_bKbar - x_a v_bK) X +
+    v_bKbar x_b^2 <= 0, and at most x_a.  The leader gets at most v_aKbar
+    outside K, so U(k) <= v_aKbar + X / (X + x_b) (sqrt(c_K v_bK) + v_aK) /
+    2.  At k = 1 every inequality is an equality: the bound is the CASE_1
+    utility.
+
+    The quadratic is solved in X / x_b with its coefficients divided by x_b^2
+    (v_bK + v_bKbar), and sqrt(c_K) is a running hypot, so only values or
+    budgets near the float range overflow.  Only a discriminant below minus
+    a rounding allowance makes a bound -inf (no allocation has that reply
+    support), and the root is inflated by the same allowance.  A bound that
+    overflows to nan is +inf.
+    """
+    va, vb = game.values_a, game.values_b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_aK, v_bK = np.cumsum(va), np.cumsum(vb)
+        v_aKbar, v_bKbar = (np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
+        ratio = np.float64(game.budget_a) / game.budget_b
+        p, q = v_bK / v_bK[-1], v_bKbar / v_bK[-1]
+        a, b = p + q, 2 * q - ratio * p
+        disc, slack = b * b - 4 * a * q, 64 * np.finfo(float).eps * (b * b + 4 * a * q)
+        t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
+        root_cv = np.hypot.accumulate(va / np.sqrt(vb)) * np.sqrt(v_bK)  # sqrt(c_K v_bK)
+        bound = v_aKbar + t / (t + 1) * (root_cv + v_aK) / 2
+        bound[disc < -slack] = -np.inf
+    bound[np.isnan(bound)] = np.inf
+    return bound
+
+
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     """Best leader commitment over all prefix support candidates.
 
     Works on the ratio-class quotient of the canonical (ascending ratio)
-    instance: each prefix length k of the quotient gets one candidate from
-    _prefix_candidate, and the best remaining leader utility wins.  Utility
-    ties within TIE_RTOL go to the larger support.  The winner is spread
-    over each class and mapped back to the caller's battlefield order.  A
-    dropped prefix's note names canonical positions: K=[0..end-1], where
-    end is where the prefix's last class ends.
+    instance: each prefix length k of the quotient may get one candidate
+    from _prefix_candidate, and the best remaining leader utility wins.
+    Utility ties within TIE_RTOL go to the larger support.  The winner is
+    spread over each class and mapped back to the caller's battlefield
+    order.  A dropped prefix's note names canonical positions:
+    K=[0..end-1], where end is where the prefix's last class ends.
+
+    Prefixes are solved in descending order of _prefix_bounds, and the
+    search stops at the first prefix whose bound is below top * (1 - (n +
+    2) * TIE_RTOL), top being the best valid utility so far (n prefixes).
+    Before a valid candidate exists nothing is skipped, so the
+    no-candidate error lists every prefix.  The solved candidates are then
+    folded in ascending k, as if every prefix had been solved, and the
+    result is the same bit for bit.  The fold replaces its best whenever a
+    candidate is at most TIE_RTOL * max(|u|, |best|) below it, so it always
+    takes the (first) maximum u_max, and after it each replacement lowers
+    the best by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n -
+    1) * TIE_RTOL).  A skipped prefix has u <= bound * (1 + TIE_RTOL) <
+    u_max * (1 - (n + 1) * TIE_RTOL) (utilities are not negative), so the
+    fold would never have taken it after u_max, and what it took before
+    u_max does not matter.
     """
     canon, ordering = canonical_ordering(instance)
     quotient = ratio_quotient(canon)
+    game = quotient.game
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
+    bounds = _prefix_bounds(game)
+    keep = 1 - (game.n + 2) * TIE_RTOL
+    solved: dict[int, tuple[CommitmentSolution | None, str | None]] = {}
+    top = -math.inf
+    for i in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[i] < top * keep:
+            break
+        cand, reason = _prefix_candidate(game, i + 1)
+        solved[i + 1] = cand, reason
+        if cand is not None:
+            top = max(top, cand.leader_utility)
     notes: list[str] = []
     best: CommitmentSolution | None = None
     best_k = -1
-    for k in range(1, quotient.game.n + 1):
-        cand, reason = _prefix_candidate(quotient.game, k)
+    for k in sorted(solved):
+        cand, reason = solved[k]
         if cand is None:
             notes.append(f"K=[0..{ends[k - 1] - 1}]: {reason}")
             continue

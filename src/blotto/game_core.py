@@ -19,6 +19,7 @@ the solvers respect both reductions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,6 +65,10 @@ def _numeric(convert, x, name: str):
 
 def _float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _float_copy(x) -> np.ndarray:
+    return np.array(x, dtype=float)
 
 
 def _positive_vector(x, name: str) -> np.ndarray:
@@ -130,25 +135,30 @@ class Allocation:
     budget: float
 
     def __post_init__(self):
+        # Few numpy calls: every best response and every commitment
+        # candidate builds one.  arr is the read-only copy from the start,
+        # and its minimum decides both the negative-entry check and the clamp.
         budget = _numeric(float, self.budget, "allocation budget")
-        if not np.isfinite(budget) or budget <= 0:
+        if not math.isfinite(budget) or budget <= 0:
             raise InputError("allocation budget must be finite and strictly positive")
-        arr = _numeric(_float_array, self.amounts, "allocation amounts")
+        arr = _numeric(_float_copy, self.amounts, "allocation amounts")
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("allocation amounts must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InputError("allocation amounts must be finite")
-        floor = -NEGATIVE_ENTRY_TOL * budget
-        if np.any(arr < floor):
+        low = float(arr.min())
+        if low < -NEGATIVE_ENTRY_TOL * budget:
             j = int(np.argmin(arr))
             raise InputError(f"allocation entry {j} is negative ({arr[j]!r})")
-        arr = np.where(arr < 0, 0.0, arr)
+        if low < 0:
+            arr[arr < 0] = 0.0
         total = float(arr.sum())
         if abs(total - budget) > BUDGET_SUM_RTOL * budget:
             raise InputError(
                 f"allocation sums to {total!r}, expected budget {budget!r}"
             )
-        object.__setattr__(self, "amounts", _readonly(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "amounts", arr)
         object.__setattr__(self, "budget", budget)
 
     @property

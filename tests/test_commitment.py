@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from blotto import commitment
 from blotto.commitment import (
     ALPHA_TOL,
     SCAN_SAMPLES,
+    TIE_RTOL,
     TRUNCATION_FACTOR,
     TRUNCATION_GROWTH,
     CaseCoefficients,
     _golden_max,
+    _prefix_bounds,
     _prefix_candidate,
     solve_case1,
     solve_case2_full_support,
@@ -35,7 +38,7 @@ from blotto.commitment import (
     threshold_allocation_outside_support,
 )
 from blotto.cli import VERIFY_COMMIT_ATOL
-from blotto.game_core import BUDGET_SUM_RTOL
+from blotto.game_core import BUDGET_SUM_RTOL, ratio_quotient
 from conftest import random_instance, tied_instance, worked_example_instance
 
 # n=3 instance whose optimal commitment concedes battlefield 2 (a proper
@@ -687,7 +690,9 @@ class TestPrefixRange:
     """The two facts a search over k would rest on, checked against a full
     enumeration of the prefix candidates: the valid prefixes are contiguous
     and the largest one wins.  Both hold on this 120-instance corpus only;
-    PREFIX_COUNTEREXAMPLES break each of them."""
+    PREFIX_COUNTEREXAMPLES break each of them.  optimal_commitment's
+    pruning by _prefix_bounds rests on neither: it skips a prefix only when
+    its utility bound shows that it cannot win (TestPrefixBounds)."""
 
     @pytest.mark.parametrize("kind", ["gen", "log-uniform"])
     def test_valid_prefixes_are_contiguous_and_the_largest_wins(self, kind):
@@ -710,6 +715,128 @@ class TestPrefixRange:
         sol = optimal_commitment(inst)
         assert (sol.case_tag, len(sol.support)) == ("CASE_1", 1)
         assert sol.leader_utility == best.leader_utility
+
+
+def _quotient(inst):
+    return ratio_quotient(canonical_ordering(inst)[0]).game
+
+
+def _enumerated_commitment(instance):
+    """optimal_commitment as a full enumeration: every prefix of the
+    quotient is solved and folded in ascending k, the search the bound
+    prunes.  Returns _outcome's tuple."""
+    canon, ordering = canonical_ordering(instance)
+    quotient = ratio_quotient(canon)
+    ends = np.cumsum(np.bincount(quotient.labels)).tolist()
+    notes, best, best_k = [], None, -1
+    for k in range(1, quotient.game.n + 1):
+        cand, reason = _prefix_candidate(quotient.game, k)
+        if cand is None:
+            notes.append(f"K=[0..{ends[k - 1] - 1}]: {reason}")
+            continue
+        if best is not None:
+            gap = cand.leader_utility - best.leader_utility
+            tol = TIE_RTOL * max(abs(cand.leader_utility), abs(best.leader_utility))
+            if gap < -tol or (abs(gap) <= tol and k <= best_k):
+                continue
+        best, best_k = cand, k
+    if best is None:
+        msg = "no valid commitment candidate; per-prefix outcomes: " + "; ".join(notes)
+        return "SolverInvariantError", hashlib.sha256(msg.encode()).hexdigest()[:16]
+    amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
+    support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
+    sol = commitment.CommitmentSolution(
+        Allocation(amounts, instance.budget_a), support, best.case_tag, best.alpha,
+        best.y, best.leader_utility, best.follower_utility,
+    )
+    return sol.case_tag, len(sol.support), _digest(sol)
+
+
+class TestPrefixBounds:
+    """_prefix_bounds bounds every valid prefix candidate, and
+    optimal_commitment, which skips the prefixes it rules out, returns
+    what solving every prefix returns."""
+
+    @staticmethod
+    def bound_corpus():
+        yield from _prefix_corpus("gen")
+        yield from _prefix_corpus("log-uniform")
+        for exponent, seed in sorted(EXTREME_DIGESTS):
+            yield extreme_instance(seed, exponent)
+        for inst, _, _ in PREFIX_COUNTEREXAMPLES:
+            yield inst
+
+    def test_every_valid_candidate_is_within_its_bound(self):
+        checked = 0
+        with np.errstate(all="ignore"):
+            for inst in self.bound_corpus():
+                game = _quotient(inst)
+                bounds = _prefix_bounds(game)
+                for k in range(1, game.n + 1):
+                    cand = _prefix_candidate(game, k)[0]
+                    if cand is not None:
+                        assert cand.leader_utility <= bounds[k - 1] * (1 + TIE_RTOL), (inst, k)
+                        checked += 1
+        assert checked > 250
+
+    def test_bound_is_the_case1_utility_at_k1(self):
+        checked = 0
+        tied = [tied_instance(8, seed, 20.0) for seed in range(20)]
+        for inst in [*_prefix_corpus("gen"), *_prefix_corpus("log-uniform"), *tied]:
+            game = _quotient(inst)
+            cand = _prefix_candidate(game, 1)[0]
+            if cand is not None:
+                assert _prefix_bounds(game)[0] == pytest.approx(cand.leader_utility, rel=1e-12)
+                checked += 1
+        assert checked > 30
+
+    @staticmethod
+    def fold_corpus():
+        rng = np.random.default_rng(19)
+        for _ in range(80):
+            yield random_instance(rng, int(rng.integers(2, 25)))
+        for seed in range(60):
+            yield tied_instance(int(rng.integers(2, 25)), seed, float(rng.choice([0.5, 2.0, 20.0])))
+        for seed in range(60):
+            yield extreme_instance(seed, 6 if seed % 2 else 12)
+
+    def test_pruned_search_equals_the_full_enumeration(self):
+        with np.errstate(all="ignore"):
+            for inst in self.fold_corpus():
+                assert _outcome(inst) == _enumerated_commitment(inst), inst
+
+    def test_gen_32_solves_fewer_than_n_prefixes(self, monkeypatch):
+        solved = []
+
+        def counted(game, k):
+            solved.append(k)
+            return _prefix_candidate(game, k)
+
+        monkeypatch.setattr(commitment, "_prefix_candidate", counted)
+        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
+        optimal_commitment(inst)
+        assert len(set(solved)) == len(solved) < inst.n
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_near_zero_case1_discriminant_gives_a_finite_bound(self, nudge):
+        # x_a at the larger root of the k = 1 discriminant in x_a, give or
+        # take one float step: the discriminant is zero up to rounding.
+        va, vb, x_b = np.array([1.0, 3.0, 2.0]), np.array([2.0, 1.5, 0.5]), 1.3
+        v_bK, v_bKbar = vb[0], vb[1:].sum()
+        x_a = 2 * x_b * (v_bKbar + math.sqrt(v_bKbar**2 + v_bK * v_bKbar)) / v_bK
+        x_a = float(np.nextafter(x_a, x_a + nudge)) if nudge else x_a
+        bounds = _prefix_bounds(_quotient(GameInstance(x_a, x_b, va, vb)))
+        assert np.isfinite(bounds[0])
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_extreme_scale_bound_is_never_nan_and_silent(self, scale):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            inst = _scaled(random_instance(rng, int(rng.integers(2, 33))), values=scale, budgets=scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bounds = _prefix_bounds(_quotient(inst))
+            assert not np.isnan(bounds).any()
 
 
 def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):

@@ -106,6 +106,71 @@ class TestAllocation:
     def test_accepts_budget_within_relative_tolerance(self):
         Allocation(np.array([0.5, 0.5 + 1e-10]), 1.0)
 
+    @staticmethod
+    def reference(amounts, budget):
+        """The constructor's checks one numpy call at a time, in order:
+        (amount bytes, budget) or the InputError message."""
+        try:
+            budget = float(budget)
+            if not np.isfinite(budget) or budget <= 0:
+                return "allocation budget must be finite and strictly positive"
+            try:
+                arr = np.asarray(amounts, dtype=float)
+            except (TypeError, ValueError) as exc:
+                return f"allocation amounts must be numeric: {exc}"
+            if arr.ndim != 1 or arr.size == 0:
+                return "allocation amounts must be a non-empty 1-D vector"
+            if not np.all(np.isfinite(arr)):
+                return "allocation amounts must be finite"
+            if np.any(arr < -1e-12 * budget):
+                j = int(np.argmin(arr))
+                return f"allocation entry {j} is negative ({arr[j]!r})"
+            arr = np.where(arr < 0, 0.0, arr)
+            total = float(arr.sum())
+            if abs(total - budget) > 1e-9 * budget:
+                return f"allocation sums to {total!r}, expected budget {budget!r}"
+            return arr.tobytes(), budget
+        except (TypeError, ValueError) as exc:
+            return f"allocation budget must be numeric: {exc}"
+
+    @pytest.mark.parametrize("amounts, budget", [
+        ([0.25, 0.75], 1.0),
+        ([1.0, -1e-13, -0.0], 1.0),
+        ([1.0, -0.0], 1.0),
+        ([0.5, np.nan], 1.0),
+        ([np.inf, -np.inf], 1.0),
+        ([np.inf, 1.0], 1.0),
+        ([1e308, 1e308], 1e308),
+        ([1e308, 1e308, -1e308], 1e308),
+        ([1.01, -0.01], 1.0),
+        ([1.01, -0.01, np.nan], 1.0),
+        ([0.5, 0.4], 1.0),
+        ([[0.5, 0.5]], 1.0),
+        ([], 1.0),
+        (["x", 1.0], 1.0),
+        ([0.5, 0.5], np.inf),
+        ([0.5, 0.5], -1.0),
+        ([0.5, 0.5], "one"),
+        (np.arange(8.0)[::2] / 12.0, 1.0),
+    ])
+    def test_checks_match_the_one_call_per_check_reference(self, amounts, budget):
+        with np.errstate(over="ignore"):  # the sum of [1e308, 1e308]
+            want = self.reference(amounts, budget)
+            try:
+                alloc = Allocation(amounts, budget)
+            except InputError as exc:
+                assert str(exc) == want
+                return
+        assert (alloc.amounts.tobytes(), alloc.budget) == want
+
+    def test_amounts_are_a_read_only_copy(self):
+        src = np.array([0.5, -1e-13, 0.5])
+        alloc = Allocation(src, 1.0)
+        assert src[1] == -1e-13 and alloc.amounts[1] == 0.0
+        assert not alloc.amounts.flags.writeable and alloc.amounts.flags.c_contiguous
+        src[0] = 0.0
+        assert alloc.amounts[0] == 0.5
+
 
 class TestPerBattlefieldUtility:
     def test_equal_split_halves_the_value(self):

@@ -5,7 +5,15 @@ Covers three questions about a game instance:
 * when do the two solution concepts coincide?  They always do when all
   battlefields share one values_a/values_b ratio; with exactly two ratio
   classes they coincide at a single budget ratio x_a/x_b given in closed
-  form (coincidence_threshold); with three or more classes, never.
+  form (coincidence_threshold); with three or more classes, never.  Both
+  follow from the solvers' own equations: the Nash leader profile
+  x_aj ~ v_bj / (mu + rho_j)^2 equals the full-support commitment
+  x_aj ~ v_bj (1 / rho_j + sigma)^2 exactly when mu / rho_j + sigma rho_j
+  is one value on every class (rho_j = v_bj / v_aj).  Two classes fix
+  mu* = sigma rho_1 rho_2, and the threshold is the budget ratio whose
+  Nash root is mu*; a strictly convex function of rho takes no value on
+  three distinct ratios.  The threshold does not depend on the scale of
+  either player's values.
 * how large can the leader's commitment advantage be?  The Nash utility is
   floored at the leader's budget share of its total value, which caps
   SE/NE at (x_a+x_b)/x_a; for two battlefields a sharper two-sided bound
@@ -96,21 +104,6 @@ class SweepRow:
     diagnostic: str | None = None
 
 
-def _psi1(x1: float, x2: float, x3: float, x4: float) -> float:
-    inner = math.sqrt((x1**2 / x3 + x2**2 / x4) / (x3 + x4))
-    return (x1 / math.sqrt(x3) + inner * math.sqrt(x3)) ** 2
-
-
-def _psi2(x1, x2, x3, x4, x5, x6) -> float:
-    left = math.sqrt(x5 * x3)
-    right = math.sqrt(x6 * x4)
-    return (x6 * x4 * x1 * left - x5 * x3 * x2 * right) / (left + right)
-
-
-def _psi3(x1, x2, x3, x4, x5, x6) -> float:
-    return x5 * x6 * (x1 * x4 - x2 * x3) / (x5 + x6)
-
-
 def coincidence_threshold(
     v_aM: float, v_bM: float, v_aMbar: float, v_bMbar: float
 ) -> float:
@@ -120,29 +113,49 @@ def coincidence_threshold(
     Arguments are the class value sums for the leader and follower; the two
     classes must have distinct values_a/values_b ratios.  The function is
     symmetric in swapping the two classes.
+
+    It follows from the equations the two solvers implement, with rho_j =
+    v_bj / v_aj and sigma^2 = sum v_a^2 / v_b / sum v_b over the classes:
+    - the Nash leader profile is x_aj ~ v_bj / (mu + rho_j)^2
+      (nash._reconstruct), and the full-support commitment is x_aj ~ v_bj
+      (1 / rho_j + sigma)^2, since CASE_2_1 has alpha = -sigma;
+    - the two are equal exactly when (mu + rho_j)(1 / rho_j + sigma), that
+      is mu / rho_j + sigma rho_j, takes one value on every class.  With
+      two classes that gives mu* = sigma rho_1 rho_2.  With three or more
+      it is impossible: mu / rho + sigma rho is strictly convex in rho, so
+      it takes each value at most twice (the "never" of check_coincidence);
+    - the threshold is the ratio r at which the Nash equation sum_h v_bh
+      (mu - rho_h r) / (mu + rho_h)^2 = 0 has the root mu*.  With q_h =
+      mu* / rho_h (q_1 = sigma rho_2, q_2 = sigma rho_1),
+      r* = sum_h v_ah q_h / (1 + q_h)^2 / sum_h v_ah / (1 + q_h)^2.
+    Scaling either player's values changes neither the game nor r*, and
+    the evaluation is scale-free: sigma is a hypot, and with both sums'
+    terms multiplied by rho_h q_h = mu*, r* = sum w_h t_h^2 / sum w_h t_h
+    s_h, where w_h = v_bh / max v_b, t_h = q_h / (1 + q_h) and s_h = 1 /
+    (1 + q_h) all lie in [0, 1].
+    Raises SolverInvariantError when the result is not a finite positive
+    float (class sums beyond about 1e+-150 can underflow or overflow).
     """
     sums = (v_aM, v_bM, v_aMbar, v_bMbar)
     if any(not (s > 0) or not math.isfinite(s) for s in sums):
         raise InputError(f"class value sums must be positive reals, got {sums}")
-    if abs(v_aM / v_bM - v_aMbar / v_bMbar) <= RATIO_CLASS_RTOL * max(
-        v_aM / v_bM, v_aMbar / v_bMbar
-    ):
+    inv_rho_M, inv_rho_Mbar = v_aM / v_bM, v_aMbar / v_bMbar
+    if abs(inv_rho_M - inv_rho_Mbar) <= RATIO_CLASS_RTOL * max(inv_rho_M, inv_rho_Mbar):
         raise InputError(
             "the two classes must have distinct value ratios; equal ratios "
             "coincide at every budget ratio"
         )
-    t1 = _psi1(v_aM, v_aMbar, v_bM, v_bMbar)
-    t2 = _psi1(v_aMbar, v_aM, v_bMbar, v_bM)
-    t3 = _psi2(v_aMbar, v_aM, v_bMbar, v_bM, t2, t1) + _psi3(
-        v_aM, v_aMbar, v_bM, v_bMbar, t1, t2
-    )
-    t4 = _psi2(v_aM, v_aMbar, v_bM, v_bMbar, t1, t2)
-    if t3 == 0:
-        raise SolverInvariantError(
-            f"threshold undefined: t3 = 0 with distinct ratios (t1={t1}, "
-            f"t2={t2}, t4={t4})"
-        )
-    return t4 / t3
+    sigma = math.hypot(v_aM / math.sqrt(v_bM), v_aMbar / math.sqrt(v_bMbar))
+    sigma /= math.sqrt(v_bM + v_bMbar)
+    top = max(v_bM, v_bMbar)
+    num = den = 0.0
+    for v_b, inv_rho in ((v_bM, inv_rho_Mbar), (v_bMbar, inv_rho_M)):  # q_h = sigma rho_other
+        t, s = sigma / (sigma + inv_rho), inv_rho / (sigma + inv_rho)
+        num, den = num + v_b / top * t * t, den + v_b / top * t * s
+    threshold = num / den if den > 0 else math.nan
+    if not 0 < threshold < math.inf:
+        raise SolverInvariantError(f"threshold of class sums {sums} is {threshold}")
+    return threshold
 
 
 def check_coincidence(instance: GameInstance) -> CoincidenceReport:

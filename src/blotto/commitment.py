@@ -552,7 +552,7 @@ def _prefix_candidate(
         return None, f"{type(exc).__name__}: {exc}"
     if cand is None:
         return None, "infeasible"
-    if cand.support != tuple(range(k)):
+    if len(cand.support) != k or cand.support[-1] != k - 1:  # sorted, distinct: range(k)
         return None, f"reply support {list(cand.support)}"
     return cand, None
 
@@ -652,7 +652,7 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
             continue
         gap = cand.leader_utility - best.leader_utility
         tol = TIE_RTOL * max(abs(cand.leader_utility), abs(best.leader_utility))
-        if gap > tol or (abs(gap) <= tol and k > best_k):
+        if gap >= -tol:  # k > best_k in the ascending fold: ties go to the larger support
             best, best_k = cand, k
     if best is None:
         raise SolverInvariantError(

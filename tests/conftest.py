@@ -47,11 +47,11 @@ def tied_instance(n, seed, budget_a):
     return GameInstance(budget_a, 1.0, va, va * rng.choice([0.5, 1.0, 2.0], n))
 
 
-def two_class_instance(n, seed):
+def two_class_instance(n, seed, scale=1.0):
     """values_b = values_a times 0.5 on even and 2 on odd battlefields, with
-    values_a drawn U[0.1, 10], x_b = 1 and x_a at the coincidence threshold
-    of the two ratio classes; n >= 2."""
-    va = np.random.default_rng(seed).uniform(0.1, 10.0, n)
+    values_a drawn U[0.1, 10] times scale, x_b = 1 and x_a at the
+    coincidence threshold of the two ratio classes; n >= 2."""
+    va = np.random.default_rng(seed).uniform(0.1, 10.0, n) * scale
     vb = va * np.where(np.arange(n) % 2 == 0, 0.5, 2.0)
     threshold = check_coincidence(GameInstance(1.0, 1.0, va, vb)).threshold
     return GameInstance(threshold, 1.0, va, vb)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,43 @@ from blotto import (
     solve_nash,
     write_sweep_csv,
 )
-from conftest import random_instance, worked_example_instance
+from blotto.game_core import SolverInvariantError, ratio_quotient
+from conftest import random_instance, two_class_instance, worked_example_instance
 
 # Budget ratio at which the worked example's SE and NE collapse into each
 # other; frozen from the closed-form threshold of (1, 1, 5, 0.5).
 WORKED_EXAMPLE_CROSSING = 1.694050881103528
+
+# Factors applied to one player's values in the scale-invariance checks.
+VALUE_SCALES = [1e-100, 1e-50, 1e-20, 1.0, 1e20, 1e50, 1e100]
+
+
+def psi_threshold(v_aM, v_bM, v_aMbar, v_bMbar):
+    """The paper's closed form, transcribed through three auxiliary psi
+    functions.  A reference only: it cancels catastrophically, losing
+    about 1e-10 relative accuracy at 1e+-6 value sums and failing outright
+    once the sums are far from 1."""
+
+    def psi1(x1, x2, x3, x4):
+        inner = math.sqrt((x1**2 / x3 + x2**2 / x4) / (x3 + x4))
+        return (x1 / math.sqrt(x3) + inner * math.sqrt(x3)) ** 2
+
+    def psi2(x1, x2, x3, x4, x5, x6):
+        left, right = math.sqrt(x5 * x3), math.sqrt(x6 * x4)
+        return (x6 * x4 * x1 * left - x5 * x3 * x2 * right) / (left + right)
+
+    def psi3(x1, x2, x3, x4, x5, x6):
+        return x5 * x6 * (x1 * x4 - x2 * x3) / (x5 + x6)
+
+    t1 = psi1(v_aM, v_aMbar, v_bM, v_bMbar)
+    t2 = psi1(v_aMbar, v_aM, v_bMbar, v_bM)
+    t3 = psi2(v_aMbar, v_aM, v_bMbar, v_bM, t2, t1) + psi3(v_aM, v_aMbar, v_bM, v_bMbar, t1, t2)
+    return psi2(v_aM, v_aMbar, v_bM, v_bMbar, t1, t2) / t3
+
+
+def log_uniform_sums(seed, size, span):
+    """size sets of four class sums, each log-uniform in [10^-span, 10^span]."""
+    return (10.0 ** np.random.default_rng(seed).uniform(-span, span, (size, 4))).tolist()
 
 
 class TestCoincidenceThreshold:
@@ -51,6 +84,67 @@ class TestCoincidenceThreshold:
     def test_rejects_nonpositive_sums(self):
         with pytest.raises(InputError):
             coincidence_threshold(0.0, 1.0, 5.0, 0.5)
+
+    def test_scaling_either_players_values_keeps_the_worked_example_threshold(self):
+        base = coincidence_threshold(1.0, 1.0, 5.0, 0.5)
+        va, vb = np.array([1.0, 5.0]), np.array([1.0, 0.5])
+        off = {}
+        for c in VALUE_SCALES:
+            for d in VALUE_SCALES:
+                threshold = check_coincidence(GameInstance(1.0, 1.0, va * c, vb * d)).threshold
+                if not abs(threshold - base) <= 4e-15 * base:
+                    off[(c, d)] = threshold
+        assert off == {}
+
+    def test_scaling_either_players_values_keeps_random_thresholds(self):
+        rng = np.random.default_rng(20)
+        scales = [1e-100, 1e-50, 1e50, 1e100]
+        for v_aM, v_bM, v_aMbar, v_bMbar in rng.uniform(0.1, 10.0, (100, 4)).tolist():
+            base = coincidence_threshold(v_aM, v_bM, v_aMbar, v_bMbar)
+            for c in scales:
+                for d in scales:
+                    scaled = coincidence_threshold(c * v_aM, d * v_bM, c * v_aMbar, d * v_bMbar)
+                    assert scaled == pytest.approx(base, rel=4e-15, abs=0)
+
+    def test_agrees_with_the_psi_transcription_at_moderate_sums(self):
+        for sums in log_uniform_sums(3, 1000, 3):
+            reference = psi_threshold(*sums)
+            assert coincidence_threshold(*sums) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_swapping_the_classes_of_random_sums(self):
+        for v_aM, v_bM, v_aMbar, v_bMbar in log_uniform_sums(4, 1000, 150):
+            forward = coincidence_threshold(v_aM, v_bM, v_aMbar, v_bMbar)
+            swapped = coincidence_threshold(v_aMbar, v_bMbar, v_aM, v_bM)
+            assert swapped == pytest.approx(forward, rel=1e-15, abs=0)
+
+    def test_sums_across_1e150_give_a_finite_threshold_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sums in log_uniform_sums(5, 2000, 150):
+                threshold = coincidence_threshold(*sums)
+                assert math.isfinite(threshold) and threshold > 0, sums
+
+    def test_a_threshold_outside_the_floats_raises(self):
+        # Sums far beyond 1e+-150: both terms of the numerator underflow,
+        # and a threshold of 0 is raised, not returned.
+        with pytest.raises(SolverInvariantError, match=r"threshold of class sums .* is 0\.0$"):
+            coincidence_threshold(6.6e122, 1.3e-166, 1.0e-104, 3.5e161)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [worked_example_instance(WORKED_EXAMPLE_CROSSING)]
+        + [two_class_instance(n, seed) for n in (2, 16) for seed in range(3)],
+    )
+    def test_nash_root_at_the_threshold_is_sigma_rho1_rho2(self, inst):
+        # The derivation: at r*, the Nash equation's root is mu* = sigma
+        # rho_1 rho_2 of the two-class quotient.
+        game = ratio_quotient(inst).game
+        va, vb = game.values_a, game.values_b
+        sigma = math.sqrt(float((va**2 / vb).sum() / vb.sum()))
+        rho = vb / va
+        r = check_coincidence(inst).threshold
+        ne = solve_nash(GameInstance(r * inst.budget_b, inst.budget_b, inst.values_a, inst.values_b))
+        assert ne.mu_star == pytest.approx(sigma * rho[0] * rho[1], rel=1e-9)
 
 
 class TestCheckCoincidence:

@@ -316,6 +316,24 @@ class TestSweep:
         assert first.startswith("1,") and "nan" not in first
         assert last == "1e+308,nan,nan,nan,nan,false"
 
+    def test_rows_stay_finite_at_tiny_value_scales(self, tmp_path, capsys):
+        # The coincidence threshold is scale-free, so no row turns nan.
+        path = write_json(
+            tmp_path,
+            "tiny.json",
+            {"budget_a": 1.0, "budget_b": 1.0, "values_a": [1e-100, 5e-100],
+             "values_b": [1e-100, 0.5e-100]},
+        )
+        argv = ["sweep", "--instance", path, "--r-min", "0.5", "--r-max", "2", "--steps", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_to_file(tmp_path, "sweep.csv", argv)
+        assert code == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == self.HEADER and len(rows) == 4
+        assert not any("nan" in row for row in rows)
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_passes_on_worked_example(self, tmp_path):

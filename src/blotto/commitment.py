@@ -35,29 +35,36 @@ in that order.  Adjacent quotient ratios differ, so k alone picks the case:
 
 CASE_1 and CASE_2_2 park the battlefields outside K with one threshold
 formula, _threshold_scale, which threshold_allocation_outside_support also
-uses for an arbitrary K.  Every candidate goes through _assemble_candidate
-once: a case solver returns None when its spend misses the budget identity
-by more than BUDGET_SUM_RTOL, and otherwise one round trip through
-best_response gives the candidate's utilities and follower support.
-_prefix_candidate picks prefix k's case and drops, with a note, a candidate
-whose support is not K or whose numbers break down at extreme scales (a
-float overflow, or a spend that is not a valid allocation).
+uses for an arbitrary K.  A case solver returns None when its spend misses
+the budget identity by more than BUDGET_SUM_RTOL, and otherwise a
+CandidateDraft: the spend, with two numbers read from it in O(k) by
+_draft.  Its score is the leader utility if the follower's reply support
+is exactly K, and its margin q says whether it is: K is the reply support
+iff q < 1.  A draft becomes a candidate through one round trip through
+best_response, which alone decides the candidate's follower support and
+utilities.  _prefix_candidate picks prefix k's case and drops, with a note,
+a candidate whose support is not K or whose numbers break down at extreme
+scales (a float overflow, or a spend that is not a valid allocation).
 optimal_commitment keeps the best remaining candidate and raises
 SolverInvariantError when none is left.
 
-optimal_commitment does not solve every prefix.  _prefix_bounds bounds,
-from prefix sums, the leader utility of any allocation whose follower
-reply has support exactly K, for every k at once.  Prefixes are solved in
-descending bound order, and the search stops at the first bound below the
-best valid utility so far times 1 - (n + 2) * TIE_RTOL.  The solved
-candidates are then folded in ascending k, with the tie rule below, and no
-skipped prefix could have changed that fold, so the result is the one
-solving every prefix gives, bit for bit (optimal_commitment's docstring
-has the argument).
+optimal_commitment does not solve every prefix, nor round-trip every draft
+it solves.  _prefix_bounds bounds, from prefix sums, the leader utility of
+any allocation whose follower reply has support exactly K, for every k at
+once.  Prefixes are solved, and their drafts round-tripped, in one
+descending order of a key: a prefix's bound, a draft's score.  The search
+stops at the first key below the best valid utility so far times 1 - (n +
+2) * TIE_RTOL, and a draft whose margin shows that K cannot be its reply
+support is not round-tripped at all.  The round-tripped candidates are
+then folded in ascending k, with the tie rule below, and nothing skipped
+could have changed that fold, so the result is the one solving and
+round-tripping every prefix gives, bit for bit (optimal_commitment's
+docstring has the argument).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -201,40 +208,66 @@ def threshold_allocation_outside_support(
     return dict(zip(out_idx.tolist(), (vb[out_idx] * scale).tolist()))
 
 
-def _assemble_candidate(
+@dataclass(frozen=True, eq=False)
+class CandidateDraft:
+    """A case solver's commitment for support prefix K, before its
+    best-response round trip: the spend (it meets the budget identity),
+    alpha and y as in CommitmentSolution, and the score and margin of
+    _draft, either of which can be inf or nan at extreme scales."""
+
+    amounts: np.ndarray
+    case_tag: str
+    alpha: float | None
+    y: float | None
+    score: float
+    margin: float
+
+
+def _draft(
     instance: GameInstance,
+    k: int,
     amounts: np.ndarray,
     case_tag: str,
     alpha: float | None,
     y: float | None,
-) -> CommitmentSolution | None:
+) -> CandidateDraft | None:
     """None when the spend misses budget_a by more than BUDGET_SUM_RTOL,
-    else the candidate, with its support and utilities from one
-    best-response round trip."""
+    else the draft, with its score and margin.
+
+    The score is the leader utility if the follower's reply support is
+    exactly K, and the margin q says whether it is: K is the reply support
+    iff q < 1.  With the follower filling K, S = sum_K sqrt(x_aj v_bj), W =
+    sum_K v_aj sqrt(x_aj / v_bj) and X = sum_K x_aj, water filling gives the
+    level lambda = (S / (x_b + X))^2 and the leader S * W / (x_b + X) on K.
+    K is the support iff every member's marginal at zero fill, v_bj / x_aj,
+    beats lambda: q = lambda * max_K x_aj / v_bj < 1.  The battlefields
+    outside K sit at their threshold, so the follower leaves them alone,
+    and the score adds v_aKbar.  Every sum has terms of one sign.  In the
+    CASE_2 terms, x_aj = v_bj (rho_j - alpha)^2 / y on K, and q is (sum_K
+    v_bj |rho_j - alpha|)^2 * max_K (rho_j - alpha)^2 / (y x_b + sum_K v_bj
+    (rho_j - alpha)^2)^2.
+    """
     x_a = instance.budget_a
     if abs(float(amounts.sum()) - x_a) > BUDGET_SUM_RTOL * x_a:
         return None
-    alloc = Allocation(amounts, x_a)
-    reply = best_response(instance, alloc)
-    return CommitmentSolution(
-        allocation=alloc,
-        support=tuple(sorted(reply.support)),
-        case_tag=case_tag,
-        alpha=alpha,
-        y=y,
-        leader_utility=total_utility(instance, "a", alloc, reply.allocation),
-        follower_utility=total_utility(instance, "b", alloc, reply.allocation),
-    )
+    on_K, va, vb = amounts[:k], instance.values_a, instance.values_b
+    with np.errstate(all="ignore"):
+        t = on_K / vb[:k]  # x_aj / v_bj
+        root_t = np.sqrt(t)
+        level = (vb[:k] @ root_t) / (instance.budget_b + on_K.sum())  # S / (x_b + X)
+        score = va[k:].sum() + level * (va[:k] @ root_t)
+        margin = level * level * t.max()
+    return CandidateDraft(amounts, case_tag, alpha, y, float(score), float(margin))
 
 
-def solve_case1(instance: GameInstance, k: int) -> CommitmentSolution | None:
+def solve_case1(instance: GameInstance, k: int) -> CandidateDraft | None:
     """Support prefix k with a single ratio class (or k = 1).
 
     The total spend on K is the larger root of the budget quadratic,
     spread proportionally to values_a inside K; outside battlefields sit
     at the indifference threshold.  Returns None when the leader's budget
     cannot afford the thresholds (negative discriminant or negative root)
-    or the candidate misses the budget identity.
+    or the spend misses the budget identity.
     """
     co = CaseCoefficients.from_instance(instance, k)
     x_a, x_b = instance.budget_a, instance.budget_b
@@ -258,23 +291,24 @@ def solve_case1(instance: GameInstance, k: int) -> CommitmentSolution | None:
     on_K = x_aK * instance.values_a[:k] / co.v_aK
     vb = instance.values_b
     amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
-    return _assemble_candidate(instance, amounts, CASE_1, None, None)
+    return _draft(instance, k, amounts, CASE_1, None, None)
 
 
-def solve_case2_full_support(instance: GameInstance) -> CommitmentSolution | None:
+def solve_case2_full_support(instance: GameInstance) -> CandidateDraft | None:
     """Full-support candidate with at least two distinct ratios.
 
     alpha = -sqrt(c_K / v_bK) in closed form; the commitment is the
     square-weight profile (v_aj/sqrt(v_bj) - alpha*sqrt(v_bj))^2 normalized
-    to budget_a.  Returns None when the candidate misses the budget identity.
+    to budget_a.  Returns None when the spend misses the budget identity.
     """
     va, vb = instance.values_a, instance.values_b
     c_K = float((va**2 / vb).sum())
     v_bK = float(vb.sum())
     alpha = -math.sqrt(c_K / v_bK)
     weights = (va / np.sqrt(vb) - alpha * np.sqrt(vb)) ** 2
-    amounts = weights / weights.sum() * instance.budget_a
-    return _assemble_candidate(instance, amounts, CASE_2_1, alpha, None)
+    with np.errstate(all="ignore"):  # a sum that overflows gives nan amounts
+        amounts = weights / weights.sum() * instance.budget_a
+    return _draft(instance, instance.n, amounts, CASE_2_1, alpha, None)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -372,7 +406,7 @@ def _climbing(lows, highs, radius, ends: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSolution | None:
+def solve_case2_partial_support(instance: GameInstance, k: int) -> CandidateDraft | None:
     """Proper support prefix k (k < n) with at least two distinct ratios
     inside K.
 
@@ -380,7 +414,7 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
     set {alpha below every ratio in K, or above every ratio in K} ∩
     {phi2(alpha) >= 0} ∩ {y(alpha) > 0}, then rebuilds the commitment from
     the winning alpha.  Returns None when the feasible set is empty or the
-    candidate misses the budget identity.
+    spend misses the budget identity.
 
     The search runs in up to TRUNCATION_EXTENSIONS + 1 passes over
     |alpha| <= radius, the radius growing by TRUNCATION_GROWTH each time.
@@ -524,37 +558,98 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CommitmentSol
         return None
     on_K = (va[:k] / np.sqrt(vb[:k]) - best_alpha * np.sqrt(vb[:k])) ** 2 / y
     amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
-    return _assemble_candidate(instance, amounts, CASE_2_2, best_alpha, y)
+    return _draft(instance, k, amounts, CASE_2_2, best_alpha, y)
+
+
+def _noted(call, *args):
+    """(call(*args), None), or (None, note) when it raises at extreme
+    scales.  call solves or round-trips a prefix of a valid quotient, so
+    these errors come from a candidate's own numbers: a float overflows
+    (OverflowError) or the spend is not a valid allocation (non-finite, or a
+    zero that underflowed)."""
+    try:
+        return call(*args), None
+    except SolverInvariantError as exc:
+        return None, str(exc)
+    except (ArithmeticError, InputError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _prefix_draft(quotient: GameInstance, k: int) -> tuple[CandidateDraft | None, str | None]:
+    """(draft, None) for support prefix k of quotient, a canonical instance
+    whose adjacent ratios all differ (a ratio_quotient in canonical order),
+    or (None, reason).  Only the first prefix is one ratio class."""
+    if k == 1:
+        draft, reason = _noted(solve_case1, quotient, k)
+    elif k == quotient.n:
+        draft, reason = _noted(solve_case2_full_support, quotient)
+    else:
+        draft, reason = _noted(solve_case2_partial_support, quotient, k)
+    if draft is None and reason is None:
+        return None, "infeasible"
+    return draft, reason
+
+
+@dataclass(frozen=True, eq=False)
+class _Candidate:
+    """A draft whose best-response round trip gave reply support K: the
+    leader's allocation, the follower's reply and the leader utility."""
+
+    draft: CandidateDraft
+    allocation: Allocation
+    reply: Allocation
+    leader_utility: float
+
+
+def _round_trip(
+    quotient: GameInstance, k: int, draft: CandidateDraft
+) -> tuple[_Candidate | None, str | None]:
+    """(candidate, None) when prefix k's draft round-trips through
+    best_response to reply support K, else (None, reason)."""
+
+    def trip():
+        alloc = Allocation(draft.amounts, quotient.budget_a)
+        return alloc, best_response(quotient, alloc)
+
+    done, reason = _noted(trip)
+    if done is None:
+        return None, reason
+    alloc, reply = done
+    support = sorted(reply.support)
+    if len(support) != k or support[-1] != k - 1:  # sorted, distinct: range(k)
+        return None, f"reply support {support}"
+    utility = total_utility(quotient, "a", alloc, reply.allocation)
+    return _Candidate(draft, alloc, reply.allocation, utility), None
+
+
+def _solution(
+    quotient: GameInstance, cand: _Candidate, allocation: Allocation, support: tuple[int, ...]
+) -> CommitmentSolution:
+    """cand as a CommitmentSolution with the given allocation and support;
+    the follower utility is computed here, for this candidate only."""
+    draft = cand.draft
+    return CommitmentSolution(
+        allocation=allocation,
+        support=support,
+        case_tag=draft.case_tag,
+        alpha=draft.alpha,
+        y=draft.y,
+        leader_utility=cand.leader_utility,
+        follower_utility=total_utility(quotient, "b", cand.allocation, cand.reply),
+    )
 
 
 def _prefix_candidate(
     quotient: GameInstance, k: int
 ) -> tuple[CommitmentSolution | None, str | None]:
-    """(candidate, None) for support prefix k of quotient, a canonical
-    instance whose adjacent ratios all differ (a ratio_quotient in
-    canonical order); (None, reason) when the candidate is dropped, with
-    the reason saying why.  Only the first prefix is one ratio class.
-    """
-    try:
-        if k == 1:
-            cand = solve_case1(quotient, k)
-        elif k == quotient.n:
-            cand = solve_case2_full_support(quotient)
-        else:
-            cand = solve_case2_partial_support(quotient, k)
-    except SolverInvariantError as exc:
-        return None, str(exc)
-    except (ArithmeticError, InputError) as exc:
-        # quotient is a valid instance and k a valid prefix, so these come
-        # from the candidate's own numbers: at extreme scales a float
-        # overflows (OverflowError) or the spend is not a valid
-        # allocation (non-finite, or a zero that underflowed).
-        return None, f"{type(exc).__name__}: {exc}"
+    """(candidate, None) for support prefix k of quotient, solved and
+    round-tripped (see _prefix_draft); (None, reason) when the candidate is
+    dropped, with the reason saying why."""
+    draft, reason = _prefix_draft(quotient, k)
+    cand, reason = _round_trip(quotient, k, draft) if draft is not None else (None, reason)
     if cand is None:
-        return None, "infeasible"
-    if len(cand.support) != k or cand.support[-1] != k - 1:  # sorted, distinct: range(k)
-        return None, f"reply support {list(cand.support)}"
-    return cand, None
+        return None, reason
+    return _solution(quotient, cand, cand.allocation, tuple(range(k))), None
 
 
 def _prefix_bounds(game: GameInstance) -> np.ndarray:
@@ -603,26 +698,39 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
 
     Works on the ratio-class quotient of the canonical (ascending ratio)
     instance: each prefix length k of the quotient may get one candidate
-    from _prefix_candidate, and the best remaining leader utility wins.
+    (_prefix_draft solves it, _round_trip checks it: _prefix_candidate),
+    and the best remaining leader utility wins.
     Utility ties within TIE_RTOL go to the larger support.  The winner is
     spread over each class and mapped back to the caller's battlefield
     order.  A dropped prefix's note names canonical positions:
     K=[0..end-1], where end is where the prefix's last class ends.
 
-    Prefixes are solved in descending order of _prefix_bounds, and the
-    search stops at the first prefix whose bound is below top * (1 - (n +
-    2) * TIE_RTOL), top being the best valid utility so far (n prefixes).
-    Before a valid candidate exists nothing is skipped, so the
-    no-candidate error lists every prefix.  The solved candidates are then
-    folded in ascending k, as if every prefix had been solved, and the
-    result is the same bit for bit.  The fold replaces its best whenever a
-    candidate is at most TIE_RTOL * max(|u|, |best|) below it, so it always
-    takes the (first) maximum u_max, and after it each replacement lowers
-    the best by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n -
-    1) * TIE_RTOL).  A skipped prefix has u <= bound * (1 + TIE_RTOL) <
-    u_max * (1 - (n + 1) * TIE_RTOL) (utilities are not negative), so the
-    fold would never have taken it after u_max, and what it took before
-    u_max does not matter.
+    The work is taken from one queue in descending order of a key, and
+    the search stops at the first key below top * keep, with keep = 1 - (n
+    + 2) * TIE_RTOL and top the best valid utility so far (n prefixes).  A
+    prefix waits there to be solved under its _prefix_bounds bound, and
+    its draft waits for its round trip under its score.  The round-tripped
+    candidates are then folded in ascending k, as if every prefix had been
+    solved and round-tripped, and the result is the same bit for bit.  The
+    fold replaces its best whenever a candidate is at most TIE_RTOL *
+    max(|u|, |best|) below it, so it always takes the (first) maximum
+    u_max, and after it each replacement lowers the best by at most
+    TIE_RTOL * u_max: it stays above u_max * (1 - (n - 1) * TIE_RTOL).
+    * A prefix left unsolved has u <= bound * (1 + TIE_RTOL) < u_max * (1
+      - (n + 1) * TIE_RTOL) (utilities are not negative), so the fold would
+      never have taken it after u_max, and what it took before u_max does
+      not matter.
+    * A draft left without its round trip has a finite score below top *
+      keep.  A valid round trip gives the score to within TIE_RTOL * u
+      (the score is u in exact arithmetic), so u <= score * (1 + TIE_RTOL)
+      < u_max * (1 - (n + 1) * TIE_RTOL), and the same argument holds.
+    * A draft whose margin is finite and above 1 + TIE_RTOL never enters
+      the queue.  A member of K then gets a negative fill at K's water
+      level, so K is not the reply support, and the round trip, whose level
+      matches the margin's to far better than TIE_RTOL, would drop it.
+    Before a valid candidate exists nothing is left in the queue, and if
+    none exists at the end every held draft is round-tripped, so the
+    no-candidate error lists every prefix's round-trip outcome.
     """
     canon, ordering = canonical_ordering(instance)
     quotient = ratio_quotient(canon)
@@ -630,17 +738,38 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
     bounds = _prefix_bounds(game)
     keep = 1 - (game.n + 2) * TIE_RTOL
-    solved: dict[int, tuple[CommitmentSolution | None, str | None]] = {}
+    # One queue, highest key first: a prefix waits to be solved under its
+    # bound, and a solved prefix's draft waits for its round trip under its
+    # score (a score that is not finite goes first).
+    queue: list[tuple[float, int, CandidateDraft | None]] = [
+        (-bound, k, None) for k, bound in enumerate(bounds.tolist(), 1)
+    ]
+    heapq.heapify(queue)
+    solved: dict[int, tuple[_Candidate | None, str | None]] = {}
+    held: dict[int, CandidateDraft] = {}
     top = -math.inf
-    for i in np.argsort(-bounds, kind="stable").tolist():
-        if bounds[i] < top * keep:
+    while queue:
+        key, k, draft = heapq.heappop(queue)
+        if -key < top * keep:
             break
-        cand, reason = _prefix_candidate(game, i + 1)
-        solved[i + 1] = cand, reason
+        if draft is None:
+            draft, reason = _prefix_draft(game, k)
+            if draft is None:
+                solved[k] = None, reason
+            elif math.isfinite(draft.margin) and draft.margin > 1 + TIE_RTOL:
+                held[k] = draft
+            else:
+                score = draft.score if math.isfinite(draft.score) else math.inf
+                heapq.heappush(queue, (-score, k, draft))
+            continue
+        cand, reason = _round_trip(game, k, draft)
+        solved[k] = cand, reason
         if cand is not None:
             top = max(top, cand.leader_utility)
+    if top == -math.inf:
+        solved.update((k, _round_trip(game, k, draft)) for k, draft in held.items())
     notes: list[str] = []
-    best: CommitmentSolution | None = None
+    best: _Candidate | None = None
     best_k = -1
     for k in sorted(solved):
         cand, reason = solved[k]
@@ -661,12 +790,5 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
         )
     amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
     support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
-    return CommitmentSolution(
-        allocation=Allocation(amounts, instance.budget_a),
-        support=support,
-        case_tag=best.case_tag,
-        alpha=best.alpha,
-        y=best.y,
-        leader_utility=best.leader_utility,
-        follower_utility=best.follower_utility,
-    )
+    return _solution(game, best, Allocation(amounts, instance.budget_a), support)
+

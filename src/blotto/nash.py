@@ -205,8 +205,9 @@ def _reconstruct(instance: GameInstance, mu: float) -> tuple[Allocation, Allocat
     rho = instance.values_b / instance.values_a
     w = instance.values_b * rho * mu / (mu + rho) ** 2
     denom = w.sum()
-    x_b = w / denom * instance.budget_b
-    x_a = mu * (w / rho) / denom * instance.budget_b
+    with np.errstate(all="ignore"):  # w underflowing to 0 gives nan, which Allocation rejects
+        x_b = w / denom * instance.budget_b
+        x_a = mu * (w / rho) / denom * instance.budget_b
     return (
         Allocation(x_a, instance.budget_a),
         Allocation(x_b, instance.budget_b),

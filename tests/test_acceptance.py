@@ -17,6 +17,7 @@ from blotto import (
     Allocation,
     GameInstance,
     GridSpec,
+    InputError,
     SolverInvariantError,
     best_response,
     canonical_ordering,
@@ -473,3 +474,74 @@ def test_criterion_10_commitment_identities_hold_on_everything_emitted():
                 case22_checked += 1
         assert off_support_checked > 0
         assert case22_checked > 0
+
+
+# Criterion 11: the solvers hold at every budget ratio x_a / x_b, on
+# gen-range values (U[0.1, 10]) with x_b = 1, at a few n and four seeds per
+# cell.  best_response replies to the proportional commitment (x_a split
+# like values_a).  Cells that fail today, with the defect they hit:
+# (solver, n, x_a / x_b) -> (exception, reason).
+_BR_LOSES_X_B = "best_response loses x_b at a large budget ratio (ROADMAP item 11(i))"
+RATIO_FAILURES = {
+    ("best_response", 16, 1e10): (InputError, _BR_LOSES_X_B),
+    **{("optimal_commitment", n, 1e6): (
+        SolverInvariantError,
+        "a parked battlefield re-enters the reply, or a member of K drops out (ROADMAP item 11(ii))",
+    ) for n in (2, 8, 16)},
+    **{("optimal_commitment", n, 1e10): (
+        (SolverInvariantError, InputError),
+        "best_response loses x_b in the round trips, and in the check of a commitment "
+        "that solves (ROADMAP item 11(i) and 11(ii))",
+    ) for n in (8, 16)},
+    **{("solve_nash", n, ratio): (
+        SolverInvariantError,
+        f"the mutual-best-response check's {_BR_LOSES_X_B}",
+    ) for n in (2, 8, 16) for ratio in (1e-10, 1e10)},
+    **{("solve_nash", n, 1e-6): (
+        SolverInvariantError,
+        "solve_nash's absolute BRENT_XTOL misses a small mu* (ROADMAP item 2)",
+    ) for n in (2, 8, 16)},
+}
+
+
+def _ratio_cases():
+    for solver in ("best_response", "optimal_commitment", "solve_nash"):
+        for n in (2, 8, 16):
+            for ratio in (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10):
+                failure = RATIO_FAILURES.get((solver, n, ratio))
+                marks = [pytest.mark.xfail(
+                    strict=True, raises=failure[0], reason=failure[1],
+                )] if failure else []
+                yield pytest.param(solver, n, ratio, marks=marks, id=f"{solver}-n{n}-r{ratio:g}")
+
+
+def _assert_best_response(inst, leader, reply):
+    # marginal utility x_aj v_bj / (x_aj + x_bj)^2 equals the water level on
+    # the support, and v_bj / x_aj (the marginal at x_bj = 0) is at most it
+    # elsewhere
+    xa, xb, vb = leader.amounts, reply.allocation.amounts, inst.values_b
+    on = np.zeros(inst.n, dtype=bool)
+    on[list(reply.support)] = True
+    marginal = xa * vb / (xa + xb) ** 2
+    np.testing.assert_allclose(marginal[on], reply.water_level, rtol=1e-6)
+    assert np.all(vb[~on] / xa[~on] <= reply.water_level * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("solver, n, ratio", _ratio_cases())
+def test_criterion_11_solvers_hold_at_every_budget_ratio(solver, n, ratio):
+    with criterion(11, runtime_limit=1.0):
+        for seed in range(4):
+            base = random_instance(np.random.default_rng(seed), n)
+            inst = GameInstance(ratio, 1.0, base.values_a, base.values_b)
+            if solver == "best_response":
+                leader = Allocation(inst.values_a / inst.values_a.sum() * ratio, ratio)
+                _assert_best_response(inst, leader, best_response(inst, leader))
+            elif solver == "optimal_commitment":
+                se = optimal_commitment(inst)
+                reply = best_response(inst, se.allocation)
+                assert tuple(sorted(reply.support)) == se.support
+                leader_u = total_utility(inst, "a", se.allocation, reply.allocation)
+                assert se.leader_utility == pytest.approx(leader_u, rel=1e-12)
+            else:
+                ne = solve_nash(inst)
+                assert 0.0 <= ne.leader_utility <= inst.values_a.sum()

@@ -1,5 +1,6 @@
 """Optimal Stackelberg commitment: case solvers and prefix enumeration."""
 
+import functools
 import hashlib
 import math
 import warnings
@@ -146,8 +147,8 @@ class TestCase1:
         )
         sol = solve_case1(inst, 2)
         assert sol is not None
-        assert np.allclose(sol.allocation.amounts, [1.0, 2.0], rtol=1e-12)
-        reply = best_response(inst, sol.allocation)
+        assert np.allclose(sol.amounts, [1.0, 2.0], rtol=1e-12)
+        reply = best_response(inst, Allocation(sol.amounts, inst.budget_a))
         assert np.allclose(
             reply.allocation.amounts, inst.values_b / inst.values_b.sum(), rtol=1e-9
         )
@@ -170,17 +171,17 @@ class TestCase1:
         )
         sol = solve_case1(inst, 1)
         assert sol is not None
-        assert set(best_response(inst, sol.allocation).support) == {0}
+        assert set(best_response(inst, Allocation(sol.amounts, inst.budget_a)).support) == {0}
 
 
 class TestCase2FullSupport:
     def test_worked_example_r2_commitment(self):
         sol = solve_case2_full_support(worked_example_instance(2.0))
-        assert np.allclose(sol.allocation.amounts, [0.543, 1.457], atol=1e-3)
+        assert np.allclose(sol.amounts, [0.543, 1.457], atol=1e-3)
 
     def test_worked_example_r_half_commitment(self):
         sol = solve_case2_full_support(worked_example_instance(0.5))
-        assert np.allclose(sol.allocation.amounts, [0.136, 0.364], atol=1e-3)
+        assert np.allclose(sol.amounts, [0.136, 0.364], atol=1e-3)
 
     def test_alpha_is_negative_closed_form(self, rng):
         for _ in range(10):
@@ -224,7 +225,7 @@ class TestCase2PartialSupport:
             if sol is None:
                 continue
             produced += 1
-            assert sol.allocation.amounts.sum() == pytest.approx(
+            assert sol.amounts.sum() == pytest.approx(
                 canon.budget_a, rel=1e-8
             )
         assert produced > 0
@@ -805,17 +806,78 @@ class TestPrefixBounds:
             for inst in self.fold_corpus():
                 assert _outcome(inst) == _enumerated_commitment(inst), inst
 
-    def test_gen_32_solves_fewer_than_n_prefixes(self, monkeypatch):
-        solved = []
+    @staticmethod
+    def count_calls(monkeypatch, inst):
+        """(prefixes solved, best-response round trips) of
+        optimal_commitment(inst), counted at the case solvers and at the
+        commitment module's best_response."""
+        solved, trips = [], []
 
-        def counted(game, k):
-            solved.append(k)
-            return _prefix_candidate(game, k)
+        def counted(name, k_of):
+            real = getattr(commitment, name)
 
-        monkeypatch.setattr(commitment, "_prefix_candidate", counted)
-        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
+            def solver(game, *args):
+                solved.append(k_of(game, *args))
+                return real(game, *args)
+
+            monkeypatch.setattr(commitment, name, solver)
+
+        counted("solve_case1", lambda game, k: k)
+        counted("solve_case2_full_support", lambda game: game.n)
+        counted("solve_case2_partial_support", lambda game, k: k)
+        real_br = commitment.best_response
+        monkeypatch.setattr(commitment, "best_response", lambda *args: trips.append(1) or real_br(*args))
         optimal_commitment(inst)
+        monkeypatch.undo()
+        return solved, len(trips)
+
+    def test_gen_32_solves_fewer_than_n_prefixes(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
+        solved, _ = self.count_calls(monkeypatch, inst)
         assert len(set(solved)) == len(solved) < inst.n
+
+    def test_gen_32_round_trips_fewer_prefixes_than_it_solves(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
+        solved, trips = self.count_calls(monkeypatch, inst)
+        assert 0 < trips < len(solved)
+
+    @staticmethod
+    @functools.cache
+    def drafts():
+        """(draft, _prefix_candidate's candidate) for every prefix with a
+        draft: the bound corpus, extreme draws at 1e±6 and 1e±12, and
+        gen-range values at x_a / x_b = 1e±10."""
+        rng = np.random.default_rng(23)
+        corpus = [*TestPrefixBounds.bound_corpus()]
+        corpus += [extreme_instance(seed, exponent) for exponent in (6, 12) for seed in range(150)]
+        for ratio in (1e-10, 1e10):
+            for _ in range(40):
+                base = random_instance(rng, int(rng.integers(2, 17)))
+                corpus.append(GameInstance(ratio, 1.0, base.values_a, base.values_b))
+        out = []
+        with np.errstate(all="ignore"):
+            for inst in corpus:
+                game = _quotient(inst)
+                for k in range(1, game.n + 1):
+                    draft = commitment._prefix_draft(game, k)[0]
+                    if draft is not None:
+                        out.append((draft, _prefix_candidate(game, k)[0]))
+        return out
+
+    def test_every_draft_its_margin_excludes_is_dropped_by_the_round_trip(self):
+        excluded = [
+            cand for draft, cand in self.drafts()
+            if math.isfinite(draft.margin) and draft.margin > 1 + TIE_RTOL
+        ]
+        assert len(excluded) > 1000
+        assert all(cand is None for cand in excluded)
+
+    def test_every_valid_candidate_scores_its_leader_utility(self):
+        valid = [(draft, cand) for draft, cand in self.drafts() if cand is not None]
+        assert len(valid) > 400
+        for draft, cand in valid:
+            assert draft.margin < 1
+            assert abs(draft.score - cand.leader_utility) <= TIE_RTOL * cand.leader_utility
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
     def test_near_zero_case1_discriminant_gives_a_finite_bound(self, nudge):
@@ -867,6 +929,18 @@ class TestExtremeScales:
             SolverInvariantError, match="K=\\[0..0\\]: InputError: allocation amounts must be finite"
         ):
             optimal_commitment(_scaled(base, values=1e150, budgets=1e150))
+
+    def test_overflowing_full_support_weights_raise_without_a_warning(self):
+        # The worked example with v_a times 1e100 and v_b times 1e-100:
+        # CASE_2_1's alpha and square weights overflow, and inf / inf
+        # spends nan.
+        inst = GameInstance(2.0, 1.0, np.array([1e100, 5e100]), np.array([1e-100, 0.5e-100]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SolverInvariantError, match="K=\\[0..1\\]: InputError: allocation amounts must be finite"
+            ):
+                optimal_commitment(inst)
 
     def test_overflowing_budget_is_a_solver_invariant_error(self):
         # x_a**2 overflows in CaseCoefficients; it used to escape as a bare

@@ -14,6 +14,7 @@ from blotto import (
     InputError,
     SolverInvariantError,
     best_response,
+    check_coincidence,
     instance_from_dict,
     nash_poly,
     solve_nash,
@@ -213,6 +214,18 @@ class TestSolverFailures:
             )
         out = tmp_path / "ne.json"
         assert main(["solve-nash", "--instance", str(path), "--out", str(out)]) in (0, 3)
+
+    def test_underflowing_reconstruction_raises_without_a_warning(self):
+        # The worked example at its threshold with v_a times 1e20 and v_b
+        # times 1e-100: every root's weights w underflow to 0, and 0 / 0
+        # rebuilds a nan allocation, which Allocation rejects.
+        va, vb = np.array([1.0, 5.0]), np.array([1.0, 0.5])
+        r = check_coincidence(GameInstance(1.0, 1.0, va, vb)).threshold
+        inst = GameInstance(r, 1.0, va * 1e20, vb * 1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverInvariantError, match="no root of f reconstructs"):
+                solve_nash(inst)
 
     def test_root_refinement_error_means_no_root_in_the_cell(self, monkeypatch):
         def nan_inside(*args, **kwargs):

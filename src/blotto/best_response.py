@@ -53,9 +53,12 @@ class BestResponseResult:
 def follower_marginal_utility(
     instance: GameInstance, j: int, x_aj: float, x_bj: float
 ) -> float:
-    """d u_bj / d x_bj = x_aj * v_bj / (x_aj + x_bj)^2."""
+    """d u_bj / d x_bj = x_aj * v_bj / (x_aj + x_bj)^2, for finite,
+    non-negative amounts that are not both zero."""
     j = _check_index(instance, j)
     x_aj, x_bj = float(x_aj), float(x_bj)
+    if not (0 <= x_aj < np.inf and 0 <= x_bj < np.inf):
+        raise InputError("allocation amounts must be finite and non-negative")
     if x_aj + x_bj <= 0:
         raise InputError(
             "marginal utility undefined when both allocations are zero"

@@ -40,13 +40,13 @@ the budget identity by more than BUDGET_SUM_RTOL, and otherwise a
 CandidateDraft: the spend, with two numbers read from it in O(k) by
 _draft.  Its score is the leader utility if the follower's reply support
 is exactly K, and its margin q says whether it is: K is the reply support
-iff q < 1.  A draft becomes a candidate through one round trip through
+iff q < 1.  _round_trip turns a draft into a candidate, a
+CommitmentSolution in the quotient's frame, through one round trip through
 best_response, which alone decides the candidate's follower support and
-utilities.  _prefix_candidate picks prefix k's case and drops, with a note,
-a candidate whose support is not K or whose numbers break down at extreme
-scales (a float overflow, or a spend that is not a valid allocation).
-optimal_commitment keeps the best remaining candidate and raises
-SolverInvariantError when none is left.
+utilities.  It drops, with a note, a draft whose support is not K or whose
+numbers break down at extreme scales (a float overflow, or a spend that is
+not a valid allocation).  _prefix_candidate is _round_trip of prefix k's
+draft, the reference enumeration.
 
 optimal_commitment does not solve every prefix, nor round-trip every draft
 it solves.  _prefix_bounds bounds, from prefix sums, the leader utility of
@@ -55,18 +55,20 @@ once.  Prefixes are solved, and their drafts round-tripped, in one
 descending order of a key: a prefix's bound, a draft's score.  The search
 stops at the first key below the best valid utility so far times 1 - (n +
 2) * TIE_RTOL, and a draft whose margin shows that K cannot be its reply
-support is not round-tripped at all.  The round-tripped candidates are
-then folded in ascending k, with the tie rule below, and nothing skipped
+support is not round-tripped at all.  It keeps only the valid candidates
+and folds them in ascending k, with the tie rule below.  Nothing skipped
 could have changed that fold, so the result is the one solving and
 round-tripping every prefix gives, bit for bit (optimal_commitment's
-docstring has the argument).
+docstring has the argument).  When no candidate is valid,
+SolverInvariantError reports every prefix's outcome from
+_prefix_candidate.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -202,6 +204,8 @@ def threshold_allocation_outside_support(
     spend = np.asarray(x_a_on_K, dtype=float)
     if spend.shape != (len(idx),):
         raise InputError("x_a_on_K must align with K")
+    if not np.isfinite(spend).all():
+        raise InputError("x_a_on_K entries must be finite")
     vb = instance.values_b
     scale = _threshold_scale(instance.budget_b, spend, vb[idx])
     out_idx = np.setdiff1d(np.arange(instance.n), idx)
@@ -590,22 +594,13 @@ def _prefix_draft(quotient: GameInstance, k: int) -> tuple[CandidateDraft | None
     return draft, reason
 
 
-@dataclass(frozen=True, eq=False)
-class _Candidate:
-    """A draft whose best-response round trip gave reply support K: the
-    leader's allocation, the follower's reply and the leader utility."""
-
-    draft: CandidateDraft
-    allocation: Allocation
-    reply: Allocation
-    leader_utility: float
-
-
 def _round_trip(
     quotient: GameInstance, k: int, draft: CandidateDraft
-) -> tuple[_Candidate | None, str | None]:
+) -> tuple[CommitmentSolution | None, str | None]:
     """(candidate, None) when prefix k's draft round-trips through
-    best_response to reply support K, else (None, reason)."""
+    best_response to reply support K, else (None, reason).  The candidate
+    is in quotient's frame: support range(k), and both utilities are those
+    of the draft's spend against that reply."""
 
     def trip():
         alloc = Allocation(draft.amounts, quotient.budget_a)
@@ -618,38 +613,26 @@ def _round_trip(
     support = sorted(reply.support)
     if len(support) != k or support[-1] != k - 1:  # sorted, distinct: range(k)
         return None, f"reply support {support}"
-    utility = total_utility(quotient, "a", alloc, reply.allocation)
-    return _Candidate(draft, alloc, reply.allocation, utility), None
-
-
-def _solution(
-    quotient: GameInstance, cand: _Candidate, allocation: Allocation, support: tuple[int, ...]
-) -> CommitmentSolution:
-    """cand as a CommitmentSolution with the given allocation and support;
-    the follower utility is computed here, for this candidate only."""
-    draft = cand.draft
     return CommitmentSolution(
-        allocation=allocation,
-        support=support,
+        allocation=alloc,
+        support=tuple(range(k)),
         case_tag=draft.case_tag,
         alpha=draft.alpha,
         y=draft.y,
-        leader_utility=cand.leader_utility,
-        follower_utility=total_utility(quotient, "b", cand.allocation, cand.reply),
-    )
+        leader_utility=total_utility(quotient, "a", alloc, reply.allocation),
+        follower_utility=total_utility(quotient, "b", alloc, reply.allocation),
+    ), None
 
 
 def _prefix_candidate(
     quotient: GameInstance, k: int
 ) -> tuple[CommitmentSolution | None, str | None]:
-    """(candidate, None) for support prefix k of quotient, solved and
-    round-tripped (see _prefix_draft); (None, reason) when the candidate is
-    dropped, with the reason saying why."""
+    """_round_trip of _prefix_draft: (candidate, None) for support prefix k
+    of quotient, or (None, reason) when it is dropped, the reason saying
+    why.  The reference enumeration: optimal_commitment calls it only to
+    report every prefix's outcome when no candidate is valid."""
     draft, reason = _prefix_draft(quotient, k)
-    cand, reason = _round_trip(quotient, k, draft) if draft is not None else (None, reason)
-    if cand is None:
-        return None, reason
-    return _solution(quotient, cand, cand.allocation, tuple(range(k))), None
+    return _round_trip(quotient, k, draft) if draft is not None else (None, reason)
 
 
 def _prefix_bounds(game: GameInstance) -> np.ndarray:
@@ -698,18 +681,16 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
 
     Works on the ratio-class quotient of the canonical (ascending ratio)
     instance: each prefix length k of the quotient may get one candidate
-    (_prefix_draft solves it, _round_trip checks it: _prefix_candidate),
-    and the best remaining leader utility wins.
-    Utility ties within TIE_RTOL go to the larger support.  The winner is
-    spread over each class and mapped back to the caller's battlefield
-    order.  A dropped prefix's note names canonical positions:
-    K=[0..end-1], where end is where the prefix's last class ends.
+    (_prefix_draft solves it, _round_trip checks it), and the best valid
+    leader utility wins.  Utility ties within TIE_RTOL go to the larger
+    support.  The winner is spread over each class and mapped back to the
+    caller's battlefield order.
 
     The work is taken from one queue in descending order of a key, and
     the search stops at the first key below top * keep, with keep = 1 - (n
     + 2) * TIE_RTOL and top the best valid utility so far (n prefixes).  A
     prefix waits there to be solved under its _prefix_bounds bound, and
-    its draft waits for its round trip under its score.  The round-tripped
+    its draft waits for its round trip under its score.  The valid
     candidates are then folded in ascending k, as if every prefix had been
     solved and round-tripped, and the result is the same bit for bit.  The
     fold replaces its best whenever a candidate is at most TIE_RTOL *
@@ -728,9 +709,11 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
       the queue.  A member of K then gets a negative fill at K's water
       level, so K is not the reply support, and the round trip, whose level
       matches the margin's to far better than TIE_RTOL, would drop it.
-    Before a valid candidate exists nothing is left in the queue, and if
-    none exists at the end every held draft is round-tripped, so the
-    no-candidate error lists every prefix's round-trip outcome.
+    When no candidate is valid, SolverInvariantError lists every prefix's
+    outcome, which _prefix_candidate rebuilds for k = 1..n; a note names
+    canonical positions, K=[0..end-1], where end is where the prefix's
+    last class ends.  That path solves every prefix twice: with top still
+    -inf the queue has already solved every prefix before it.
     """
     canon, ordering = canonical_ordering(instance)
     quotient = ratio_quotient(canon)
@@ -745,50 +728,35 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
         (-bound, k, None) for k, bound in enumerate(bounds.tolist(), 1)
     ]
     heapq.heapify(queue)
-    solved: dict[int, tuple[_Candidate | None, str | None]] = {}
-    held: dict[int, CandidateDraft] = {}
+    valid: dict[int, CommitmentSolution] = {}
     top = -math.inf
     while queue:
         key, k, draft = heapq.heappop(queue)
         if -key < top * keep:
             break
         if draft is None:
-            draft, reason = _prefix_draft(game, k)
-            if draft is None:
-                solved[k] = None, reason
-            elif math.isfinite(draft.margin) and draft.margin > 1 + TIE_RTOL:
-                held[k] = draft
-            else:
+            draft = _prefix_draft(game, k)[0]
+            # a finite margin above 1 + TIE_RTOL rules out reply support K
+            if draft is not None and not 1 + TIE_RTOL < draft.margin < math.inf:
                 score = draft.score if math.isfinite(draft.score) else math.inf
                 heapq.heappush(queue, (-score, k, draft))
             continue
-        cand, reason = _round_trip(game, k, draft)
-        solved[k] = cand, reason
+        cand = _round_trip(game, k, draft)[0]
         if cand is not None:
+            valid[k] = cand
             top = max(top, cand.leader_utility)
-    if top == -math.inf:
-        solved.update((k, _round_trip(game, k, draft)) for k, draft in held.items())
-    notes: list[str] = []
-    best: _Candidate | None = None
-    best_k = -1
-    for k in sorted(solved):
-        cand, reason = solved[k]
-        if cand is None:
-            notes.append(f"K=[0..{ends[k - 1] - 1}]: {reason}")
-            continue
-        if best is None:
-            best, best_k = cand, k
-            continue
-        gap = cand.leader_utility - best.leader_utility
-        tol = TIE_RTOL * max(abs(cand.leader_utility), abs(best.leader_utility))
-        if gap >= -tol:  # k > best_k in the ascending fold: ties go to the larger support
-            best, best_k = cand, k
-    if best is None:
-        raise SolverInvariantError(
-            "no valid commitment candidate; per-prefix outcomes: "
-            + "; ".join(notes)
+    if not valid:
+        notes = "; ".join(
+            f"K=[0..{ends[k - 1] - 1}]: {_prefix_candidate(game, k)[1]}" for k in range(1, game.n + 1)
         )
+        raise SolverInvariantError(f"no valid commitment candidate; per-prefix outcomes: {notes}")
+    best_k = min(valid)
+    for k in sorted(valid):
+        u, u_best = valid[k].leader_utility, valid[best_k].leader_utility
+        # ties go to the larger support: k >= best_k in the ascending fold
+        if u - u_best >= -TIE_RTOL * max(abs(u), abs(u_best)):
+            best_k = k
+    best = valid[best_k]
     amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
     support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
-    return _solution(game, best, Allocation(amounts, instance.budget_a), support)
-
+    return replace(best, allocation=Allocation(amounts, instance.budget_a), support=support)

@@ -160,6 +160,15 @@ class TestFollowerMarginalUtility:
         with pytest.raises(InputError):
             follower_marginal_utility(inst, 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("x_aj, x_bj", [
+        (np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan), (0.5, np.inf),
+        (-0.2, 0.5), (-1.0, 0.5), (0.5, -0.1),
+    ])
+    def test_rejects_non_finite_or_negative_amounts(self, x_aj, x_bj):
+        inst = GameInstance(1.0, 1.0, np.array([1.0]), np.array([2.0]))
+        with pytest.raises(InputError, match="finite and non-negative"):
+            follower_marginal_utility(inst, 0, x_aj, x_bj)
+
 
 class TestSupportPrefix:
     def test_leader_proportional_to_follower_values_keeps_full_support(self, rng):

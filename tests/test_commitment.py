@@ -107,6 +107,12 @@ class TestThresholdAllocation:
         with pytest.raises(InputError, match="repeats"):
             threshold_allocation_outside_support(inst, [0, 0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_spend(self, bad):
+        inst = GameInstance(1.0, 1.0, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(InputError, match="finite"):
+            threshold_allocation_outside_support(inst, [0, 1], [bad, 0.3])
+
 
 class TestCaseCoefficients:
     def test_matches_direct_recomputation(self, rng):
@@ -840,6 +846,33 @@ class TestPrefixBounds:
         inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
         solved, trips = self.count_calls(monkeypatch, inst)
         assert 0 < trips < len(solved)
+
+    @staticmethod
+    def count_prefix_candidates(monkeypatch):
+        """The prefixes _prefix_candidate is called on, in call order."""
+        calls, real = [], commitment._prefix_candidate
+        monkeypatch.setattr(commitment, "_prefix_candidate", lambda game, k: calls.append(k) or real(game, k))
+        return calls
+
+    def test_no_valid_candidate_is_reported_by_the_reference_enumeration(self, monkeypatch):
+        # No prefix is valid at this budget ratio (ROADMAP item 11(ii));
+        # once item 10(b) mends that, move the test to a game that still
+        # fails.  The margin excludes the draft of K=[0..2] from the search,
+        # so only the enumeration gives its note.
+        inst = GameInstance(1e5, 1.0, np.array([2.77, 0.51, 0.26]), np.array([8.15, 9.14, 6.11]))
+        calls = self.count_prefix_candidates(monkeypatch)
+        with pytest.raises(SolverInvariantError) as info:
+            optimal_commitment(inst)
+        assert str(info.value) == (
+            "no valid commitment candidate; per-prefix outcomes: K=[0..0]: reply support "
+            "[0, 2]; K=[0..1]: infeasible; K=[0..2]: reply support [0]"
+        )
+        assert calls == [1, 2, 3]
+
+    def test_gen_32_never_calls_the_reference_enumeration(self, monkeypatch):
+        calls = self.count_prefix_candidates(monkeypatch)
+        optimal_commitment(random_instance(np.random.default_rng(0), 32))  # blotto gen --n 32 --seed 0
+        assert calls == []
 
     @staticmethod
     @functools.cache

@@ -15,8 +15,11 @@ follower search takes the largest marginal increments of one unit: that
 attains the optimum over all compositions exactly (separable concave
 resource allocation).  The leader-side search has no such structure and
 enumerates the compositions of its box (_box_compositions), one
-coordinate at a time.  POINT_CAP bounds both players' work: the rows the
-leader's enumerator builds and the follower's table of marginal gains.
+coordinate at a time, and scores them in row blocks of
+_LEADER_BLOCK_ELEMENTS grid entries, at least one row, so a leader stage
+holds its integer rows plus one block of float work.  POINT_CAP bounds
+both players' work: the rows the leader's enumerator builds and the
+follower's table of marginal gains.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ POINT_CAP = 10_000_000
 # incumbent, i.e. +/- 8 new steps per coordinate.
 REFINE_FACTOR = 4
 REFINE_HALO = 2 * REFINE_FACTOR
+# Leader grid entries (rows x n) a stage scores at a time, at least one row;
+# the water fill's float temporaries are this size, not the stage's.
+_LEADER_BLOCK_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -49,19 +55,32 @@ class GridSpec:
     """Grid search parameters: subdivisions per budget and local passes.
 
     Each search stage is held to POINT_CAP leader grid rows or follower
-    marginal gains; a stage over it raises InputError.
+    marginal gains; a stage over it raises InputError.  Both fields take
+    integers or integral floats; bools, strings, fractions and non-finite
+    values raise InputError.
     """
 
     resolution: int
     refinement_rounds: int = 0
 
     def __post_init__(self):
-        if int(self.resolution) < 2:
+        resolution = _whole_number("resolution", self.resolution)
+        rounds = _whole_number("refinement_rounds", self.refinement_rounds)
+        if resolution < 2:
             raise InputError(f"resolution must be >= 2, got {self.resolution}")
-        if int(self.refinement_rounds) < 0:
+        if rounds < 0:
             raise InputError("refinement_rounds must be >= 0")
-        object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "refinement_rounds", int(self.refinement_rounds))
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "refinement_rounds", rounds)
+
+
+def _whole_number(name: str, value) -> int:
+    """value as an int, when it is an integer or an integral float."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InputError(f"{name} must be a whole number, got {value!r}")
 
 
 def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -171,9 +190,9 @@ def oracle_best_response(
     """Grid-search the follower's reply; returns (allocation, utility).
 
     Splits budget_b into grid.resolution units, then refines
-    grid.refinement_rounds times (see _grid_search).  Every stage of _grid_search is the exact marginal-gain pass of
-    _greedy_box_max, so each returns the optimum over all compositions of
-    its box.
+    grid.refinement_rounds times (see _grid_search).  Every stage is the
+    exact marginal-gain pass of _greedy_box_max, so each returns the
+    optimum over all compositions of its box.
     """
     _check_alloc(instance, leader_alloc, "a")
     xa = leader_alloc.amounts
@@ -191,9 +210,13 @@ def oracle_commitment(
 
     Leader grid entries are floored at one grid step so every point is a
     valid best-response input.  Each stage enumerates the compositions of
-    its box (_box_compositions, held to POINT_CAP rows) and keeps the first
-    one of highest utility.  Returns the utility-maximizing leader point,
-    its utility, and the follower support it induces.  Raises InputError
+    its box (_box_compositions, held to POINT_CAP rows), scores them in
+    blocks of _LEADER_BLOCK_ELEMENTS entries into one array of utilities,
+    and keeps the first row of highest utility (the first NaN, if any).
+    Every row's reply and utility depend on that row alone, so the blocks
+    give the same bits as one call on the whole stage.  Returns the
+    utility-maximizing leader point, its utility, and the follower support
+    it induces.  Raises InputError
     when the resolution is below n (no grid point) or a stage would pass
     POINT_CAP.
     """
@@ -206,7 +229,11 @@ def oracle_commitment(
 
     def best_in_box(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         rows = _box_compositions(total, lo, hi)
-        utilities = batch_leader_utilities(instance, rows / total * instance.budget_a)
+        block = max(1, _LEADER_BLOCK_ELEMENTS // n)
+        utilities = np.empty(len(rows))
+        for start in range(0, len(rows), block):
+            points = rows[start : start + block] / total * instance.budget_a
+            utilities[start : start + block] = batch_leader_utilities(instance, points)
         return rows[int(np.argmax(utilities))]
 
     best, total = _grid_search(n, grid, 1, best_in_box)

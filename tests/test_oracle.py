@@ -4,6 +4,7 @@ pinned outputs."""
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,22 @@ class TestGridSpec:
         spec = GridSpec(resolution=100.0, refinement_rounds=2.0)
         assert spec.resolution == 100 and isinstance(spec.resolution, int)
         assert spec.refinement_rounds == 2
+
+    def test_numpy_integers_and_integral_floats_accepted(self):
+        spec = GridSpec(np.int64(100), np.float32(2.0))
+        assert (spec.resolution, spec.refinement_rounds) == (100, 2)
+        assert type(spec.resolution) is int and type(spec.refinement_rounds) is int
+
+    @pytest.mark.parametrize(
+        "bad", [2.9, "500", True, np.bool_(True), float("inf"), -float("inf"), float("nan"), None]
+    )
+    @pytest.mark.parametrize("field", ["resolution", "refinement_rounds"])
+    def test_non_whole_numbers_rejected(self, field, bad):
+        # int() used to truncate 2.9, parse "500", take True as 1, and raise
+        # OverflowError or ValueError on inf and nan.
+        fields = {"resolution": 100, "refinement_rounds": 1, field: bad}
+        with pytest.raises(InputError, match=f"{field} must be a whole number"):
+            GridSpec(**fields)
 
 
 class TestOracleBestResponse:
@@ -270,6 +287,19 @@ class TestOracleCommitment:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_memory_is_rows_plus_one_block_at_the_cli_grid(self):
+        # `blotto gen --n 3 --seed 0` at verify's default grid.  Its coarse
+        # stage has 124,251 rows; scored in one call, the water fill's float
+        # temporaries took the peak to 32 MiB.
+        inst = random_instance(np.random.default_rng(0), 3)
+        tracemalloc.start()
+        try:
+            oracle_commitment(inst, GridSpec(500, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_refinement_never_hurts(self, rng):
         inst = random_instance(rng, 3)
         _, coarse, _ = oracle_commitment(inst, GridSpec(100))
@@ -290,6 +320,49 @@ class TestOracleCommitment:
         assert util == pytest.approx(
             total_utility(inst, "a", alloc, reply.allocation), rel=1e-12
         )
+
+
+class TestLeaderBlocks:
+    # (kind, seed, n, resolution, refinement_rounds, odd): the coarse stage
+    # has comb(resolution - 1, n - 1) rows, and blocks of `odd` rows leave
+    # one row for its last block.
+    CASES = [
+        ("gen", 0, 2, 60, 2, 29),
+        ("log", 100, 2, 61, 1, 59),
+        ("gen", 1, 3, 40, 1, 185),
+        ("log", 101, 3, 41, 2, 779),
+        ("gen", 2, 4, 16, 1, 227),
+        ("log", 102, 4, 17, 1, 559),
+        ("gen", 3, 5, 10, 1, 125),
+        ("log", 103, 5, 11, 1, 209),
+    ]
+
+    @pytest.mark.parametrize("kind, seed, n, resolution, rounds, odd", CASES)
+    def test_block_size_does_not_change_bits(
+        self, monkeypatch, kind, seed, n, resolution, rounds, odd
+    ):
+        inst, _ = oracle_case(kind, seed, n)
+        coarse = math.comb(resolution - 1, n - 1)
+        assert odd % 2 == 1 and coarse % odd == 1
+        score = oracle.batch_leader_utilities
+        results, sizes = [], []
+        for rows in (1, odd, 2**40):
+            calls = []
+
+            def recording(instance, points):
+                calls.append(len(points))
+                return score(instance, points)
+
+            monkeypatch.setattr(oracle, "batch_leader_utilities", recording)
+            monkeypatch.setattr(oracle, "_LEADER_BLOCK_ELEMENTS", rows * n)
+            alloc, utility, support = oracle_commitment(inst, GridSpec(resolution, rounds))
+            results.append((alloc.amounts.tobytes(), float.hex(utility), support))
+            sizes.append(calls)
+        assert results[0] == results[1] == results[2]
+        one_row, odd_rows, whole = sizes
+        assert set(one_row) == {1}
+        assert odd_rows[: coarse // odd + 1] == [odd] * (coarse // odd) + [1]
+        assert len(whole) == rounds + 1 and whole[0] == coarse
 
 
 def oracle_case(kind, seed, n):

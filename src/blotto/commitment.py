@@ -51,7 +51,11 @@ draft, the reference enumeration.
 optimal_commitment does not solve every prefix, nor round-trip every draft
 it solves.  _prefix_bounds bounds, from prefix sums, the leader utility of
 any allocation whose follower reply has support exactly K, for every k at
-once.  Prefixes are solved, and their drafts round-tripped, in one
+once.  It couples the leader's share on K with the spend that parks the
+battlefields outside K at their thresholds: both depend on how the spend
+on K lines up with sqrt(values_b), and the bound takes the best case over
+_BOUND_CELLS cells of that one parameter rather than each half's own best
+case.  Prefixes are solved, and their drafts round-tripped, in one
 descending order of a key: a prefix's bound, a draft's score.  The search
 stops at the first key below the best valid utility so far times 1 - (n +
 2) * TIE_RTOL, and a draft whose margin shows that K cannot be its reply
@@ -80,6 +84,7 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
+    _whole_number,
     canonical_ordering,
     ratio_quotient,
     total_utility,
@@ -103,6 +108,13 @@ TRUNCATION_EXTENSIONS = 3
 # 67 of 1500 at 1e+-12, 1 of 1500 log_uniform_instance draws and
 # EXTREME_DIGESTS[(6, 0)], though on 0 of 1660 gen draws.
 TIE_RTOL = 1e-9
+# _prefix_bounds: the cells between the peak of h and c = 1, and the
+# prefixes whose (prefix, cell) grid it evaluates at a time.  32 cells
+# solve 615 of 2048 prefixes on gen --n 2048 --seed 0 (one cell: 801, 1024
+# cells: 562).
+_BOUND_CELLS = 32
+_BOUND_BLOCK_ROWS = 1024
+_BOUND_ENDS = np.linspace(1.0, 0.0, _BOUND_CELLS + 1)  # (1 - c) / (1 - c_h) at c_0 .. c_m
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -194,7 +206,7 @@ def threshold_allocation_outside_support(
     index set in any order, not only a canonical prefix, and x_a_on_K[i] is
     the spend on battlefield K[i].
     """
-    idx = [int(j) for j in K]
+    idx = [_whole_number("support candidate index", j) for j in K]
     if not idx:
         raise InputError("support candidate K must be non-empty")
     if len(set(idx)) != len(idx):
@@ -642,36 +654,76 @@ def _prefix_bounds(game: GameInstance) -> np.ndarray:
 
     With X = sum_K x_aj, the water filling on K gives the leader S * W /
     (X + x_b) there, where S = sum_K sqrt(x_aj v_bj) and W = sum_K v_aj
-    sqrt(x_aj / v_bj).  S * W is a quadratic form in sqrt(x_a) whose
-    largest eigenvalue bounds it by X (sqrt(c_K v_bK) + v_aK) / 2.  Parking
-    each battlefield outside K at or above its threshold costs v_bKbar (X +
-    x_b)^2 / S^2 >= v_bKbar (X + x_b)^2 / (v_bK X) (Cauchy-Schwarz on S),
-    so X + that cost <= x_a: X is at most the larger root of the CASE_1
-    quadratic (v_bK + v_bKbar) X^2 + (2 x_b v_bKbar - x_a v_bK) X +
-    v_bKbar x_b^2 <= 0, and at most x_a.  The leader gets at most v_aKbar
-    outside K, so U(k) <= v_aKbar + X / (X + x_b) (sqrt(c_K v_bK) + v_aK) /
-    2.  At k = 1 every inequality is an equality: the bound is the CASE_1
-    utility.
+    sqrt(x_aj / v_bj), and the leader gets at most v_aKbar outside K.  Two
+    facts about the spend on K meet in c = S^2 / (v_bK X), which lies in
+    [0, 1] (Cauchy-Schwarz on S):
 
-    The quadratic is solved in X / x_b with its coefficients divided by x_b^2
-    (v_bK + v_bKbar), and sqrt(c_K) is a running hypot, so only values or
-    budgets near the float range overflow.  Only a discriminant below minus
-    a rounding allowance makes a bound -inf (no allocation has that reply
-    support), and the root is inflated by the same allowance.  A bound that
-    overflows to nan is +inf.
+    * Splitting sqrt(x_a) on K along (sqrt(v_bj)) and its orthogonal
+      complement gives S * W <= X h(c), with h(c) = v_aK c + sqrt(c (1 -
+      c)) sqrt(c_K v_bK - v_aK^2).  h is concave, with its peak (v_aK +
+      sqrt(c_K v_bK)) / 2 at c_h = (1 + v_aK / sqrt(c_K v_bK)) / 2.
+    * Parking each battlefield outside K at or above its threshold costs
+      v_bKbar (X + x_b)^2 / S^2, so X + that cost <= x_a reads c v_bK X
+      (x_a - X) >= v_bKbar (X + x_b)^2.  X is at most the larger root X(c)
+      of that quadratic, which grows with c, and so does g(c) = X(c) /
+      (X(c) + x_b).
+
+    So U(k) <= v_aKbar + max_c g(c) h(c).  Below c_h both factors grow, so
+    the maximum lies in [c_h, 1], where h falls.  On the _BOUND_CELLS equal
+    cells c_h = c_0 < ... < c_m = 1, g(c) h(c) <= g(c_i+1) h(c_i) on cell
+    [c_i, c_i+1], and the bound is v_aKbar plus the largest of these terms.  One cell gives
+    g(1) (v_aK + sqrt(c_K v_bK)) / 2, which maximises the two factors
+    apart; more cells never raise it.  At k = 1, h(c) = v_aK c and c_h = 1,
+    so the bound is the CASE_1 utility; at k = n, v_bKbar = 0 and g(c) =
+    x_a / (x_a + x_b) at every c.
+
+    The quadratic is solved in t = X / x_b with its coefficients divided by
+    x_b^2 v_bK[-1]: (c p + q) t^2 + (2 q - c p x_a / x_b) t + q <= 0, with p
+    = v_bK / v_bK[-1] and q = v_bKbar / v_bK[-1].  sqrt(c_K v_bK) is a
+    running hypot, and sqrt(c_K v_bK - v_aK^2) is 2 sqrt(c_K v_bK) sqrt(d (1
+    - d)) with d = 1 - c_h, so only values or budgets near the float range
+    overflow.  Only a discriminant below minus a rounding allowance makes
+    g(c) 0 (no X is affordable at that c), or the bound -inf at c = 1 (no
+    allocation has that reply support), and every root is inflated by the
+    same allowance.  A bound that overflows to nan is +inf.  The first
+    cell's term takes h's peak exactly, so it covers every c up to c_1
+    whatever c_h rounds to, and c_m is exactly 1, so the cells leave no
+    gap.  Every other float step moves a term by a few units of relative
+    rounding (1 - c is formed first, so h near c = 1 keeps its digits):
+    about 1e-15, far below the TIE_RTOL by which optimal_commitment's
+    stopping rule already lets a bound fall short of a utility.  The
+    (prefix, cell) grid is evaluated _BOUND_BLOCK_ROWS prefixes at a time,
+    so the working memory is O(n).
     """
     va, vb = game.values_a, game.values_b
+    n = len(va)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_aK, v_bK = np.cumsum(va), np.cumsum(vb)
         v_aKbar, v_bKbar = (np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
         ratio = np.float64(game.budget_a) / game.budget_b
         p, q = v_bK / v_bK[-1], v_bKbar / v_bK[-1]
-        a, b = p + q, 2 * q - ratio * p
-        disc, slack = b * b - 4 * a * q, 64 * np.finfo(float).eps * (b * b + 4 * a * q)
-        t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
         root_cv = np.hypot.accumulate(va / np.sqrt(vb)) * np.sqrt(v_bK)  # sqrt(c_K v_bK)
-        bound = v_aKbar + t / (t + 1) * (root_cv + v_aK) / 2
-        bound[disc < -slack] = -np.inf
+        d = np.maximum((1 - v_aK / root_cv) / 2, 0.0)  # 1 - c_h
+        peak = (root_cv + v_aK) / 2  # h(c_h), the largest h
+        ortho = 2 * root_cv * np.sqrt(d * (1 - d))  # sqrt(c_K v_bK - v_aK^2)
+        best, dead = np.empty(n), np.empty(n, dtype=bool)
+        for lo in range(0, n, _BOUND_BLOCK_ROWS):
+            rows = slice(lo, lo + _BOUND_BLOCK_ROWS)
+            e = d[rows, None] * _BOUND_ENDS  # 1 - c; c_m = 1 exactly
+            c = 1 - e
+            h = v_aK[rows, None] * c[:, :-1] + ortho[rows, None] * np.sqrt(c[:, :-1] * e[:, :-1])
+            h[:, 0] = peak[rows]
+            cp, q_rows = c[:, 1:] * p[rows, None], q[rows, None]
+            a, b = cp + q_rows, 2 * q_rows - ratio * cp
+            bb, four_aq = b * b, 4 * a * q_rows
+            disc, slack = bb - four_aq, 64 * np.finfo(float).eps * (bb + four_aq)
+            t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
+            out = disc < -slack  # no X is affordable at that c
+            t[out] = 0.0
+            best[rows] = (t / (t + 1) * h).max(axis=1)
+            dead[rows] = out[:, -1]
+        bound = v_aKbar + best
+        bound[dead] = -np.inf
     bound[np.isnan(bound)] = np.inf
     return bound
 

@@ -200,8 +200,18 @@ def _check_player(player: str) -> None:
         raise InputError(f"player must be one of {PLAYERS}, got {player!r}")
 
 
+def _whole_number(name: str, value) -> int:
+    """value as an int, when it is an integer or an integral float; a bool,
+    a string, a fraction, inf or nan raises InputError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InputError(f"{name} must be a whole number, got {value!r}")
+
+
 def _check_index(instance: GameInstance, j: int) -> int:
-    j = int(j)
+    j = _whole_number("battlefield index", j)
     if not 0 <= j < instance.n:
         raise InputError(f"battlefield index {j} out of range [0, {instance.n})")
     return j
@@ -357,7 +367,7 @@ def split_battlefield(
     both players, inserted in place of j.  Total utilities are unchanged.
     """
     j = _check_index(instance, j)
-    t = int(t)
+    t = _whole_number("split factor t", t)
     if t < 1:
         raise InputError(f"split factor t must be >= 1, got {t}")
     _check_alloc(instance, alloc_a, "a")

@@ -37,6 +37,7 @@ from .game_core import (
     InputError,
     PreconditionError,
     _check_alloc,
+    _whole_number,
     total_utility,
 )
 
@@ -72,15 +73,6 @@ class GridSpec:
             raise InputError("refinement_rounds must be >= 0")
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "refinement_rounds", rounds)
-
-
-def _whole_number(name: str, value) -> int:
-    """value as an int, when it is an integer or an integral float."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise InputError(f"{name} must be a whole number, got {value!r}")
 
 
 def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -759,6 +760,25 @@ def _enumerated_commitment(instance):
     return sol.case_tag, len(sol.support), _digest(sol)
 
 
+def _one_cell_bounds(game):
+    """_prefix_bounds with one cell: g(1) times h's peak, which maximises
+    the spend share and the S * W factor apart (the bound of 784e310)."""
+    va, vb = game.values_a, game.values_b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_aK, v_bK = np.cumsum(va), np.cumsum(vb)
+        v_aKbar, v_bKbar = (np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
+        ratio = np.float64(game.budget_a) / game.budget_b
+        p, q = v_bK / v_bK[-1], v_bKbar / v_bK[-1]
+        a, b = p + q, 2 * q - ratio * p
+        disc, slack = b * b - 4 * a * q, 64 * np.finfo(float).eps * (b * b + 4 * a * q)
+        t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
+        root_cv = np.hypot.accumulate(va / np.sqrt(vb)) * np.sqrt(v_bK)
+        bound = v_aKbar + t / (t + 1) * (root_cv + v_aK) / 2
+        bound[disc < -slack] = -np.inf
+    bound[np.isnan(bound)] = np.inf
+    return bound
+
+
 class TestPrefixBounds:
     """_prefix_bounds bounds every valid prefix candidate, and
     optimal_commitment, which skips the prefixes it rules out, returns
@@ -785,6 +805,45 @@ class TestPrefixBounds:
                         assert cand.leader_utility <= bounds[k - 1] * (1 + TIE_RTOL), (inst, k)
                         checked += 1
         assert checked > 250
+
+    def test_bound_is_close_to_the_valid_utilities(self):
+        # Median bound / utility - 1 over the valid candidates: 2.9e-3 with
+        # one cell, 1.2e-4 with 32.
+        gaps = []
+        with np.errstate(all="ignore"):
+            for inst in self.bound_corpus():
+                game = _quotient(inst)
+                bounds = _prefix_bounds(game)
+                for k in range(1, game.n + 1):
+                    cand = _prefix_candidate(game, k)[0]
+                    if cand is not None:
+                        gaps.append(bounds[k - 1] / cand.leader_utility - 1)
+        assert len(gaps) > 250
+        assert np.median(gaps) < 5e-4
+
+    def test_cells_never_raise_the_one_cell_bound(self):
+        checked = 0
+        for inst in self.bound_corpus():
+            game = _quotient(inst)
+            bounds, one_cell = _prefix_bounds(game), _one_cell_bounds(game)
+            assert not np.isnan(bounds).any()
+            assert (bounds <= one_cell).all(), inst
+            assert np.array_equal(bounds == -np.inf, one_cell == -np.inf)
+            checked += game.n
+        assert checked > 1000
+
+    def test_memory_is_linear_in_n(self):
+        # A whole (2^16, 32) float grid alone is 16 MiB.
+        rng = np.random.default_rng(0)
+        n = 2**16
+        game = GameInstance(2.0, 1.0, rng.uniform(1, 10, n), rng.uniform(1, 10, n))
+        tracemalloc.start()
+        try:
+            _prefix_bounds(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_bound_is_the_case1_utility_at_k1(self):
         checked = 0
@@ -841,6 +900,12 @@ class TestPrefixBounds:
         inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
         solved, _ = self.count_calls(monkeypatch, inst)
         assert len(set(solved)) == len(solved) < inst.n
+
+    def test_gen_128_solves_at_most_45_prefixes(self, monkeypatch):
+        # 54 with one cell, 40 with 32.
+        inst = random_instance(np.random.default_rng(0), 128)  # blotto gen --n 128 --seed 0
+        solved, _ = self.count_calls(monkeypatch, inst)
+        assert len(set(solved)) == len(solved) <= 45
 
     def test_gen_32_round_trips_fewer_prefixes_than_it_solves(self, monkeypatch):
         inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0

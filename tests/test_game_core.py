@@ -14,6 +14,7 @@ from blotto import (
     best_response,
     canonical_ordering,
     check_coincidence,
+    follower_marginal_utility,
     instance_from_dict,
     instance_to_dict,
     merge_battlefields,
@@ -23,6 +24,7 @@ from blotto import (
     total_utility,
     utility_per_battlefield,
 )
+from blotto.commitment import threshold_allocation_outside_support
 from blotto.game_core import RATIO_CLASS_RTOL, ratio_quotient
 from blotto.nash import _mutual_br
 from conftest import (
@@ -417,6 +419,51 @@ TWO_CLASS_CASES = [(n, seed) for n in (2, 16, 256, 2048) for seed in range(3)]
 def quotient_corpus():
     yield from (tied_instance(*case) for case in TIED_CASES)
     yield from (two_class_instance(*case) for case in TWO_CLASS_CASES)
+
+
+class TestWholeNumberArguments:
+    """Battlefield indices, split_battlefield's t and the entries of
+    threshold_allocation_outside_support's K take integers and integral
+    floats.  int() used to truncate 1.7 and 2.9, parse "1", take True as 1,
+    and raise OverflowError, ValueError or TypeError on inf, nan and None."""
+
+    BAD = [1.7, 2.9, "1", True, np.bool_(True), float("inf"), float("nan"), None]
+    CALLS = [
+        "utility_per_battlefield", "follower_marginal_utility", "split_battlefield j",
+        "split_battlefield t", "merge_battlefields", "threshold K",
+    ]
+
+    @staticmethod
+    def call(name, x):
+        """The named call with x as its index, split factor or K entry."""
+        inst = make(3.0, 1.0, [1.0, 2.0, 3.0], [1.0, 5.0, 2.0])
+        a = Allocation(np.array([1.0, 1.0, 1.0]), 3.0)
+        b = Allocation(np.array([0.25, 0.25, 0.5]), 1.0)  # 0 and 1 in one proportion
+        return {
+            "utility_per_battlefield": lambda: utility_per_battlefield(inst, "a", x, a, b),
+            "follower_marginal_utility": lambda: follower_marginal_utility(inst, x, 1.0, 0.5),
+            "split_battlefield j": lambda: split_battlefield(inst, x, 2, a, b),
+            "split_battlefield t": lambda: split_battlefield(inst, 0, x, a, b),
+            "merge_battlefields": lambda: merge_battlefields(inst, [0, x], a, b),
+            "threshold K": lambda: threshold_allocation_outside_support(inst, [0, x], [0.5, 0.5]),
+        }[name]()
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_non_whole_numbers_raise_input_error(self, name, bad):
+        with pytest.raises(InputError, match="must be a whole number"):
+            self.call(name, bad)
+
+    @pytest.mark.parametrize("good", [1, np.int64(1), np.uint8(1), 1.0, np.float32(1.0)], ids=repr)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_integers_and_integral_floats_behave_as_ints(self, name, good):
+        got, want = self.call(name, good), self.call(name, 1)
+        if isinstance(want, tuple):  # split and merge: (instance, alloc_a, alloc_b)
+            got = (got[0].values_a, got[0].values_b, got[1].amounts, got[2].amounts)
+            want = (want[0].values_a, want[0].values_b, want[1].amounts, want[2].amounts)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            assert got == want
 
 
 class TestRatioQuotient:

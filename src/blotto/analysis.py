@@ -36,6 +36,7 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
+    _real_number,
     canonical_ordering,
     ratio_quotient,
 )
@@ -137,7 +138,8 @@ def coincidence_threshold(
     float (class sums beyond about 1e+-150 can underflow or overflow).
     """
     sums = (v_aM, v_bM, v_aMbar, v_bMbar)
-    if any(not (s > 0) or not math.isfinite(s) for s in sums):
+    reals = [_real_number("class value sum", s) for s in sums]
+    if any(not (s > 0) or not math.isfinite(s) for s in reals):
         raise InputError(f"class value sums must be positive reals, got {sums}")
     inv_rho_M, inv_rho_Mbar = v_aM / v_bM, v_aMbar / v_bMbar
     if abs(inv_rho_M - inv_rho_Mbar) <= RATIO_CLASS_RTOL * max(inv_rho_M, inv_rho_Mbar):
@@ -226,7 +228,7 @@ def budget_sweep(instance: GameInstance, r_values: Iterable[float]) -> list[Swee
     budget is not a finite float, become nan rows carrying the error text
     instead of aborting the sweep.  Rows come back sorted ascending by r.
     """
-    ratios = sorted(float(r) for r in r_values)
+    ratios = sorted(_real_number("budget ratio", r) for r in r_values)
     if not ratios:
         raise InputError("budget_sweep needs at least one ratio")
     bad = [r for r in ratios if not math.isfinite(r)]

@@ -210,6 +210,15 @@ def _whole_number(name: str, value) -> int:
     raise InputError(f"{name} must be a whole number, got {value!r}")
 
 
+def _real_number(name: str, value) -> float:
+    """value as a float, when it is a Python or numpy integer or float; a
+    bool, a string, None or any other object raises InputError.  float()
+    would read True as 1.0 and "2.5" as 2.5."""
+    if isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
+        return _numeric(float, value, name)
+    raise InputError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_index(instance: GameInstance, j: int) -> int:
     j = _whole_number("battlefield index", j)
     if not 0 <= j < instance.n:

@@ -42,6 +42,7 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
+    _real_number,
     ratio_quotient,
     total_utility,
 )
@@ -79,7 +80,7 @@ class NashSolution:
 def nash_poly(instance: GameInstance, mu: float) -> float:
     """Evaluate f(mu) = sum_h v_bh * mu * (mu - rho_h * r) * prod_{j != h}
     (mu + rho_j)^2 in product form (no coefficient expansion)."""
-    mu = float(mu)
+    mu = _real_number("mu", mu)
     if not (math.isfinite(mu) and mu > 0):
         raise InputError(f"nash_poly requires a finite mu > 0, got {mu}")
     return float(_poly_values(instance, np.array([mu]))[0])

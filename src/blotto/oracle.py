@@ -14,19 +14,21 @@ payoff is a sum of concave single-battlefield terms, so in every box the
 follower search takes the largest marginal increments of one unit: that
 attains the optimum over all compositions exactly (separable concave
 resource allocation).  The leader-side search has no such structure and
-enumerates the compositions of its box (_box_compositions), one
-coordinate at a time, and scores them in row blocks of
-_LEADER_BLOCK_ELEMENTS grid entries, at least one row, so a leader stage
-holds its integer rows plus one block of float work.  POINT_CAP bounds
-both players' work: the rows the leader's enumerator builds and the
-follower's table of marginal gains.
+enumerates the compositions of its box in lex order, in blocks of
+_LEADER_BLOCK_ELEMENTS grid entries, at least one row (_box_blocks).
+Each block is unranked from counts of the box's kept prefixes per partial
+sum (_box_tables), so a leader stage holds those O(n * total) counts and
+one block of integer rows and float work, never the whole stage.
+POINT_CAP bounds both players' work: the rows of a leader stage, read
+from the counts before any row is built, and the follower's table of
+marginal gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +50,7 @@ REFINE_FACTOR = 4
 REFINE_HALO = 2 * REFINE_FACTOR
 # Leader grid entries (rows x n) a stage scores at a time, at least one row;
 # the water fill's float temporaries are this size, not the stage's.
-_LEADER_BLOCK_ELEMENTS = 65536
+_LEADER_BLOCK_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -75,34 +77,99 @@ class GridSpec:
         object.__setattr__(self, "refinement_rounds", rounds)
 
 
-def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integer vectors with lo <= c <= hi and sum(c) == total, lex order.
+def _interval_sums(
+    counts: np.ndarray, start: int, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Sum of counts over the sums first .. last, per entry; counts[i]
+    belongs to the sum start + i, and sums outside counts add nothing."""
+    cum = np.append(0, np.cumsum(counts))
+    size = len(counts)
+    return cum[np.clip(last - start + 1, 0, size)] - cum[np.clip(first - start, 0, size)]
 
-    Rows grow one coordinate at a time, and only prefixes that can still
-    reach total are kept.  Every kept prefix completes to at least one row,
-    so no stage is larger than the result, and a stage over POINT_CAP
-    raises InputError before it is built.
+
+def _check_grid(grid) -> None:
+    if not isinstance(grid, GridSpec):
+        raise InputError(f"grid must be a GridSpec, got {type(grid).__name__}")
+
+
+def _box_tables(total: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Where the kept prefixes of a box end, and how many rows follow each.
+
+    A prefix c[:j+1] is kept when it lies in the box and the coordinates
+    after j can still bring its sum to total.  Its sum then lies in the
+    window low[j] .. high[j], every sum there is reached, and every kept
+    prefix completes to at least one row.  A forward pass counts the kept
+    prefixes per sum, O(n * total) and no row built.  It raises InputError
+    at the first coordinate whose kept prefixes pass POINT_CAP, before
+    that coordinate's window is built, so no table is larger than the
+    stage.  A backward pass counts each kept sum's completions to a row.
+    Returns low and, per coordinate, the cumulative completion counts over
+    its window, led by a 0; the first table ends on the number of rows.
     """
     n = len(lo)
     # rest_lo[j], rest_hi[j]: bounds on the sum of coordinates after j.
     rest_lo = np.append(np.cumsum(lo[::-1])[::-1][1:], 0)
     rest_hi = np.append(np.cumsum(hi[::-1])[::-1][1:], 0)
-    cols: list[np.ndarray] = []
-    sums = np.zeros(1, dtype=np.int64)
+    low = np.maximum(total - rest_hi, np.cumsum(lo))
+    high = np.minimum(total - rest_lo, np.cumsum(hi))
+    prefixes, start = np.ones(1, dtype=np.int64), 0
     for j in range(n):
-        first = np.maximum(lo[j], total - sums - rest_hi[j])
-        width = np.clip(np.minimum(hi[j], total - sums - rest_lo[j]) - first + 1, 0, None)
-        count = int(width.sum())
+        sums = start + np.arange(len(prefixes))
+        # Values of coordinate j that keep the prefix, per previous sum.
+        width = np.minimum(hi[j], high[j] - sums) - np.maximum(lo[j], low[j] - sums) + 1
+        count = int(prefixes @ np.clip(width, 0, None))
         if count > POINT_CAP:
             raise InputError(
                 f"leader grid needs at least {count} points at resolution "
                 f"{total} with n={n}, over point_cap {POINT_CAP}"
             )
-        parent = np.repeat(np.arange(len(sums)), width)
-        col = first[parent] + np.arange(count) - np.repeat(np.cumsum(width) - width, width)
-        cols = [c[parent] for c in cols] + [col]
-        sums = sums[parent] + col
-    return np.stack(cols, axis=1)
+        sums = np.arange(low[j], high[j] + 1)
+        prefixes, start = _interval_sums(prefixes, start, sums - hi[j], sums - lo[j]), low[j]
+    completions = [np.ones(len(prefixes), dtype=np.int64)]
+    for j in range(n - 2, -1, -1):
+        sums = np.arange(low[j], high[j] + 1)
+        after = _interval_sums(completions[0], low[j + 1], sums + lo[j + 1], sums + hi[j + 1])
+        completions.insert(0, after)
+    return low, [np.append(0, np.cumsum(c)) for c in completions]
+
+
+def _box_blocks(total: int, lo: np.ndarray, hi: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    """The rows of _box_compositions in lex order, block rows at a time
+    (the last block may be shorter).
+
+    Each block is unranked from _box_tables' counts: row r's coordinate j
+    is the one whose kept sum's completions hold r's rank among the rows
+    that share r's prefix, found by one searchsorted on that coordinate's
+    cumulative counts.  The last coordinate is what remains of total.  No
+    row depends on the block size.
+    """
+    low, cums = _box_tables(total, lo, hi)
+    stop = int(cums[0][-1])
+    for first in range(0, stop, block):
+        rank = np.arange(first, min(first + block, stop))
+        sums = np.zeros_like(rank)
+        rows = np.empty((len(rank), len(lo)), dtype=np.int64)
+        for j, cum in enumerate(cums[:-1]):
+            # From the rank among the rows that share c[:j] to a position in
+            # coordinate j's table, past the sums below what c[:j+1] can reach.
+            rank += cum[np.maximum(sums + lo[j] - low[j], 0)]
+            index = np.searchsorted(cum, rank, side="right") - 1
+            rank -= cum[index]
+            rows[:, j] = low[j] + index - sums
+            sums = low[j] + index
+        rows[:, -1] = total - sums
+        yield rows
+
+
+def _box_compositions(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integer vectors with lo <= c <= hi and sum(c) == total, lex order.
+
+    The whole stage as one array, joined from the blocks that
+    oracle_commitment scores (_box_blocks); a stage over POINT_CAP rows
+    raises InputError before any row is built.
+    """
+    blocks = _box_blocks(total, lo, hi, max(1, _LEADER_BLOCK_ELEMENTS // len(lo)))
+    return np.concatenate([np.empty((0, len(lo)), dtype=np.int64), *blocks])
 
 
 def _greedy_box_max(
@@ -184,8 +251,10 @@ def oracle_best_response(
     Splits budget_b into grid.resolution units, then refines
     grid.refinement_rounds times (see _grid_search).  Every stage is the
     exact marginal-gain pass of _greedy_box_max, so each returns the
-    optimum over all compositions of its box.
+    optimum over all compositions of its box.  Raises InputError when grid
+    is not a GridSpec.
     """
+    _check_grid(grid)
     _check_alloc(instance, leader_alloc, "a")
     xa = leader_alloc.amounts
     if np.any(xa <= 0):
@@ -201,17 +270,18 @@ def oracle_commitment(
     """Grid-search the leader's commitment; follower replies in closed form.
 
     Leader grid entries are floored at one grid step so every point is a
-    valid best-response input.  Each stage enumerates the compositions of
-    its box (_box_compositions, held to POINT_CAP rows), scores them in
-    blocks of _LEADER_BLOCK_ELEMENTS entries into one array of utilities,
-    and keeps the first row of highest utility (the first NaN, if any).
-    Every row's reply and utility depend on that row alone, so the blocks
-    give the same bits as one call on the whole stage.  Returns the
-    utility-maximizing leader point, its utility, and the follower support
-    it induces.  Raises InputError
-    when the resolution is below n (no grid point) or a stage would pass
-    POINT_CAP.
+    valid best-response input.  Each stage streams the compositions of its
+    box (_box_blocks, held to POINT_CAP rows) in blocks of
+    _LEADER_BLOCK_ELEMENTS entries, scores each block, and keeps a running
+    first maximum: the first row of highest utility, or the first NaN if
+    any, as np.argmax over the whole stage picks.  Every row's reply and
+    utility depend on that row alone, so the blocks give the same bits as
+    one call on the whole stage.  Returns the utility-maximizing leader
+    point, its utility, and the follower support it induces.  Raises
+    InputError when grid is not a GridSpec, when the resolution is below n
+    (no grid point), or when a stage would pass POINT_CAP.
     """
+    _check_grid(grid)
     n = instance.n
     if grid.resolution < n:
         raise InputError(
@@ -220,13 +290,15 @@ def oracle_commitment(
         )
 
     def best_in_box(total: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        rows = _box_compositions(total, lo, hi)
-        block = max(1, _LEADER_BLOCK_ELEMENTS // n)
-        utilities = np.empty(len(rows))
-        for start in range(0, len(rows), block):
-            points = rows[start : start + block] / total * instance.budget_a
-            utilities[start : start + block] = batch_leader_utilities(instance, points)
-        return rows[int(np.argmax(utilities))]
+        best = best_utility = None
+        for rows in _box_blocks(total, lo, hi, max(1, _LEADER_BLOCK_ELEMENTS // n)):
+            utilities = batch_leader_utilities(instance, rows / total * instance.budget_a)
+            i = int(np.argmax(utilities))
+            if np.isnan(utilities[i]):
+                return rows[i]  # the stage's first NaN, as argmax over it picks
+            if best is None or utilities[i] > best_utility:
+                best, best_utility = rows[i].copy(), utilities[i]
+        return best
 
     best, total = _grid_search(n, grid, 1, best_in_box)
     alloc = Allocation(best / total * instance.budget_a, instance.budget_a)

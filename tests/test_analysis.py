@@ -20,6 +20,7 @@ from blotto import (
     write_sweep_csv,
 )
 from blotto.game_core import SolverInvariantError, ratio_quotient
+from blotto.nash import nash_poly
 from conftest import random_instance, two_class_instance, worked_example_instance
 
 # Budget ratio at which the worked example's SE and NE collapse into each
@@ -358,6 +359,36 @@ class TestBudgetSweep:
         assert all(row.diagnostic is None for row in rows)
         se = [row.se_u_a for row in rows]
         assert all(b >= a - 1e-9 for a, b in zip(se, se[1:]))
+
+
+class TestRealNumberArguments:
+    """Budget ratios, nash_poly's mu and the class value sums take real
+    numbers.  float() used to read True as 1.0 and "1" as 1.0, and a string
+    or None raised ValueError or TypeError instead of InputError."""
+
+    BAD = ["a", "1", True, np.bool_(True), None, [1.0]]
+    CALLS = ["budget_sweep", "nash_poly", "coincidence_threshold"]
+
+    @staticmethod
+    def call(name, x):
+        """The named call with x as its ratio, mu or first class value sum."""
+        inst = worked_example_instance(2.0)
+        return {
+            "budget_sweep": lambda: budget_sweep(inst, [x]),
+            "nash_poly": lambda: nash_poly(inst, x),
+            "coincidence_threshold": lambda: coincidence_threshold(x, 1, 2, 1),
+        }[name]()
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_non_numbers_raise_input_error(self, name, bad):
+        with pytest.raises(InputError, match="must be a real number"):
+            self.call(name, bad)
+
+    @pytest.mark.parametrize("good", [1, np.int64(1), 1.0, np.float64(1.0)], ids=repr)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_integers_and_floats_behave_as_before(self, name, good):
+        assert self.call(name, good) == self.call(name, 1.0)
 
 
 class TestSweepCsv:

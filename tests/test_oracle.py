@@ -150,6 +150,13 @@ class TestOracleBestResponse:
         with pytest.raises(InputError, match="point_cap"):
             oracle_best_response(inst, leader, GridSpec(oracle.POINT_CAP // 2 + 1))
 
+    @pytest.mark.parametrize("grid", [500, (500, 3), None], ids=repr)
+    def test_rejects_a_grid_that_is_not_a_gridspec(self, grid):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        leader = Allocation(np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(InputError, match=f"grid must be a GridSpec, got {type(grid).__name__}"):
+            oracle_best_response(inst, leader, grid)
+
     def test_rejects_leader_zero_entry(self):
         inst = GameInstance(2.0, 1.0, np.ones(2), np.ones(2))
         with pytest.raises(PreconditionError):
@@ -195,6 +202,31 @@ class TestBoxCompositions:
         monkeypatch.setattr(oracle, "POINT_CAP", 860)
         with pytest.raises(InputError, match="point_cap 860"):
             oracle._box_compositions(40, lo, hi)
+
+
+class TestBoxBlocks:
+    # A coarse n = 4 box at total 24: its first leading value, c[0] = 1, has
+    # comb(22, 2) = 231 completions, more than any chunk size below.
+    COARSE = (24, np.ones(4, dtype=np.int64), np.full(4, 24, dtype=np.int64))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 29, 101])
+    def test_chunks_concatenate_to_the_reference(self, rng, block):
+        boxes = [self.COARSE]
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            lo = rng.integers(0, 12, n)
+            hi = lo + rng.integers(0, 7, n)
+            boxes.append((int(rng.integers(lo.sum() - 2, hi.sum() + 3)), lo, hi))
+        for total, lo, hi in boxes:
+            chunks = list(oracle._box_blocks(total, lo, hi, block))
+            expected = TestBoxCompositions.reference(total, lo, hi)
+            assert [len(c) for c in chunks] == [block] * (len(expected) // block) + (
+                [len(expected) % block] if len(expected) % block else []
+            )
+            rows = np.concatenate([np.empty((0, len(lo)), dtype=np.int64), *chunks])
+            np.testing.assert_array_equal(rows, expected)
+        leading = TestBoxCompositions.reference(*self.COARSE)[:, 0]
+        assert np.count_nonzero(leading == 1) == math.comb(22, 2) > block
 
 
 class TestBatchLeaderUtilities:
@@ -300,6 +332,38 @@ class TestOracleCommitment:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_cli_grid_stage_peaks_under_4_mib(self):
+        # `blotto gen --n 3 --seed 0` at verify's default grid.  Its coarse
+        # stage has 124,251 rows; built whole, its integer rows took the
+        # peak to 9.5 MiB.
+        inst = random_instance(np.random.default_rng(0), 3)
+        tracemalloc.start()
+        try:
+            oracle_commitment(inst, GridSpec(500, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_point_cap_is_read_from_counts(self):
+        # comb(999, 3) rows; the enumerator used to build the 497,503
+        # two-coordinate prefixes before its count passed the cap.
+        inst = GameInstance(1.0, 1.0, np.ones(4), np.ones(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="at least 165668499 points .* point_cap"):
+                oracle_commitment(inst, GridSpec(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("grid", [500, (500, 3), None], ids=repr)
+    def test_rejects_a_grid_that_is_not_a_gridspec(self, grid):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        with pytest.raises(InputError, match=f"grid must be a GridSpec, got {type(grid).__name__}"):
+            oracle_commitment(inst, grid)
+
     def test_refinement_never_hurts(self, rng):
         inst = random_instance(rng, 3)
         _, coarse, _ = oracle_commitment(inst, GridSpec(100))
@@ -363,6 +427,29 @@ class TestLeaderBlocks:
         assert set(one_row) == {1}
         assert odd_rows[: coarse // odd + 1] == [odd] * (coarse // odd) + [1]
         assert len(whole) == rounds + 1 and whole[0] == coarse
+
+    @pytest.mark.parametrize("nan_at", [None, 3, 17])
+    @pytest.mark.parametrize("rows", [1, 7, 2**40])
+    def test_running_maximum_picks_what_argmax_over_the_stage_picks(
+        self, monkeypatch, rows, nan_at
+    ):
+        # Scores with ties, and NaN on every row with c[1] == nan_at: the
+        # first such row is the stage's 3rd or 17th, past the first block
+        # at one row per block and at 7 for the 17th.
+        inst, total = GameInstance(1.0, 1.0, np.ones(3), np.ones(3)), 30
+
+        def scores(instance, points):
+            counts = np.rint(points * total).astype(np.int64)
+            utilities = (counts[:, 0] % 4).astype(float)
+            utilities[counts[:, 1] == nan_at] = np.nan
+            return utilities
+
+        stage = oracle._box_compositions(total, np.ones(3, dtype=np.int64), np.full(3, total))
+        expected = stage[np.argmax(scores(inst, stage / total))]
+        monkeypatch.setattr(oracle, "batch_leader_utilities", scores)
+        monkeypatch.setattr(oracle, "_LEADER_BLOCK_ELEMENTS", rows * 3)
+        alloc, _, _ = oracle_commitment(inst, GridSpec(total))
+        np.testing.assert_array_equal(np.rint(alloc.amounts * total), expected)
 
 
 def oracle_case(kind, seed, n):

@@ -30,6 +30,7 @@ from .game_core import (
     SolverInvariantError,
     _check_alloc,
     _check_index,
+    _real_number,
 )
 
 # Follower entries below this fraction of budget_b count as zero / off-support.
@@ -56,7 +57,7 @@ def follower_marginal_utility(
     """d u_bj / d x_bj = x_aj * v_bj / (x_aj + x_bj)^2, for finite,
     non-negative amounts that are not both zero."""
     j = _check_index(instance, j)
-    x_aj, x_bj = float(x_aj), float(x_bj)
+    x_aj, x_bj = _real_number("x_aj", x_aj), _real_number("x_bj", x_bj)
     if not (0 <= x_aj < np.inf and 0 <= x_bj < np.inf):
         raise InputError("allocation amounts must be finite and non-negative")
     if x_aj + x_bj <= 0:
@@ -66,12 +67,14 @@ def follower_marginal_utility(
     return x_aj * float(instance.values_b[j]) / (x_aj + x_bj) ** 2
 
 
-def _require_positive_leader(leader_alloc: Allocation) -> None:
-    if np.any(leader_alloc.amounts <= 0):
-        j = int(np.argmin(leader_alloc.amounts))
+def _require_positive_leader(amounts: np.ndarray) -> None:
+    """The leader's amounts, of one allocation or of each row, must be > 0."""
+    bad = amounts <= 0
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)  # the first entry <= 0
         raise PreconditionError(
             f"best response needs a strictly positive leader allocation; "
-            f"entry {j} is {leader_alloc.amounts[j]!r}. Callers that must "
+            f"entry {', '.join(map(str, at))} is {amounts[at]!r}. Callers that must "
             f"handle zeros should clamp entries to a floor of "
             f"1e-12 * budget_a first."
         )
@@ -110,7 +113,7 @@ def _water_fill(xa: np.ndarray, vb: np.ndarray, budget_b: float):
 def best_response(instance: GameInstance, leader_alloc: Allocation) -> BestResponseResult:
     """Unique follower best response to a strictly positive leader allocation."""
     _check_alloc(instance, leader_alloc, "a")
-    _require_positive_leader(leader_alloc)
+    _require_positive_leader(leader_alloc.amounts)
 
     budget_b = instance.budget_b
     order, k, filled, root_sum, spend = _water_fill(

@@ -27,7 +27,6 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
-    _json_numbers,
     canonical_ordering,
     instance_from_dict,
     total_utility,
@@ -114,7 +113,7 @@ def _cmd_solve_br(args: argparse.Namespace) -> int:
             f"(the leader allocation to respond to)"
         )
     try:
-        commit = Allocation(_json_numbers(raw["commit_a"], "allocation amounts"), instance.budget_a)
+        commit = Allocation(raw["commit_a"], instance.budget_a)
     except InputError as exc:
         raise InputError(f"{args.instance}: commit_a: {exc}") from exc
     result = best_response(instance, commit)

@@ -84,7 +84,8 @@ from .game_core import (
     GameInstance,
     InputError,
     SolverInvariantError,
-    _whole_number,
+    _check_index,
+    _real_array,
     canonical_ordering,
     ratio_quotient,
     total_utility,
@@ -206,14 +207,12 @@ def threshold_allocation_outside_support(
     index set in any order, not only a canonical prefix, and x_a_on_K[i] is
     the spend on battlefield K[i].
     """
-    idx = [_whole_number("support candidate index", j) for j in K]
+    idx = [_check_index(instance, j) for j in K]
     if not idx:
         raise InputError("support candidate K must be non-empty")
     if len(set(idx)) != len(idx):
         raise InputError(f"support candidate {idx} repeats an index")
-    if min(idx) < 0 or max(idx) >= instance.n:
-        raise InputError(f"support candidate {idx} out of range [0, {instance.n})")
-    spend = np.asarray(x_a_on_K, dtype=float)
+    spend = _real_array(x_a_on_K, "x_a_on_K")
     if spend.shape != (len(idx),):
         raise InputError("x_a_on_K must align with K")
     if not np.isfinite(spend).all():

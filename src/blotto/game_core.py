@@ -15,6 +15,11 @@ ratio class (battlefields whose values_a/values_b ratios agree) and spreads
 amounts back in proportion to values_a, one such split.  No solver calls
 split_battlefield or merge_battlefields; the tests use them to check that
 the solvers respect both reductions.
+
+Budgets, values and amounts enter through GameInstance and Allocation under
+one real-number rule (_real_array, _real_scalar): Python or numpy ints and
+floats pass, and bools, strings, bytes, complex numbers, None and other
+objects raise InputError naming the field, from the library or the CLI.
 """
 
 from __future__ import annotations
@@ -49,34 +54,55 @@ class SolverInvariantError(RuntimeError):
     """An internal solver guarantee failed; the message carries diagnostics."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+# The real-number rule: Python or numpy ints and floats, but not bools.
+_REAL_TYPES = (float, int, np.floating, np.integer)
 
 
-def _numeric(convert, x, name: str):
-    """convert(x), or an InputError naming the field when x is not numeric."""
+def _is_real(value) -> bool:
+    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
+
+
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a new float array: an ndarray of integer or float dtype, or any
+    input whose scalars all pass _is_real.  Else InputError, with float()'s
+    message for a scalar it cannot read.  A complex scalar is never cast:
+    the cast would drop its imaginary part with only a ComplexWarning."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        return np.array(x, dtype=float)
+    items = np.array(x, dtype=object)
+    bad = [v for v in items.flat if not _is_real(v)]
     try:
-        return convert(x)
+        if not any(isinstance(v, (complex, np.complexfloating)) for v in bad):
+            arr = items.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be numeric: {exc}") from exc
+    if bad:
+        raise InputError(f"{name} must be numeric: {bad[0]!r} is not a real number")
+    return arr
 
 
-def _float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
-def _float_copy(x) -> np.ndarray:
-    return np.array(x, dtype=float)
+def _real_scalar(value, name: str) -> float:
+    """value as a float: an isinstance check, then float().  Any other value
+    (or an int past the float range) raises _real_array's InputError, or
+    this one when it is a sequence of reals."""
+    # _is_real inlined: every Allocation passes here.
+    if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    _real_array(value, name)
+    raise InputError(f"{name} must be numeric: {value!r} is not a real number")
 
 
 def _positive_vector(x, name: str) -> np.ndarray:
-    arr = _numeric(_float_array, x, name)
+    """x as a read-only float vector of finite, strictly positive reals."""
+    arr = _real_array(x, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D vector")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise InputError(f"{name} entries must be finite and strictly positive")
+    arr.setflags(write=False)
     return arr
 
 
@@ -96,8 +122,8 @@ class GameInstance:
 
     def __post_init__(self):
         for name in ("budget_a", "budget_b"):
-            val = _numeric(float, getattr(self, name), name)
-            if not np.isfinite(val) or val <= 0:
+            val = _real_scalar(getattr(self, name), name)
+            if not math.isfinite(val) or val <= 0:
                 raise InputError(f"{name} must be finite and strictly positive")
             object.__setattr__(self, name, val)
         va = _positive_vector(self.values_a, "values_a")
@@ -106,8 +132,8 @@ class GameInstance:
             raise InputError(
                 f"values_a and values_b lengths differ ({va.size} vs {vb.size})"
             )
-        object.__setattr__(self, "values_a", _readonly(va))
-        object.__setattr__(self, "values_b", _readonly(vb))
+        object.__setattr__(self, "values_a", va)
+        object.__setattr__(self, "values_b", vb)
 
     @property
     def n(self) -> int:
@@ -138,10 +164,10 @@ class Allocation:
         # Few numpy calls: every best response and every commitment
         # candidate builds one.  arr is the read-only copy from the start,
         # and its minimum decides both the negative-entry check and the clamp.
-        budget = _numeric(float, self.budget, "allocation budget")
+        budget = _real_scalar(self.budget, "allocation budget")
         if not math.isfinite(budget) or budget <= 0:
             raise InputError("allocation budget must be finite and strictly positive")
-        arr = _numeric(_float_copy, self.amounts, "allocation amounts")
+        arr = _real_array(self.amounts, "allocation amounts")
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("allocation amounts must be a non-empty 1-D vector")
         if not np.isfinite(arr).all():
@@ -179,9 +205,10 @@ class BattlefieldOrdering:
     ratios: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=int)
-        object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "ratios", _readonly(self.ratios))
+        ratios = np.array(self.ratios, dtype=float)
+        ratios.setflags(write=False)
+        object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=int))
+        object.__setattr__(self, "ratios", ratios)
 
     def to_canonical(self, vec: np.ndarray) -> np.ndarray:
         """Reorder a per-battlefield vector into canonical position order."""
@@ -203,9 +230,7 @@ def _check_player(player: str) -> None:
 def _whole_number(name: str, value) -> int:
     """value as an int, when it is an integer or an integral float; a bool,
     a string, a fraction, inf or nan raises InputError."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+    if _is_real(value) and (isinstance(value, (int, np.integer)) or float(value).is_integer()):
         return int(value)
     raise InputError(f"{name} must be a whole number, got {value!r}")
 
@@ -214,8 +239,8 @@ def _real_number(name: str, value) -> float:
     """value as a float, when it is a Python or numpy integer or float; a
     bool, a string, None or any other object raises InputError.  float()
     would read True as 1.0 and "2.5" as 2.5."""
-    if isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
-        return _numeric(float, value, name)
+    if _is_real(value):
+        return _real_scalar(value, name)
     raise InputError(f"{name} must be a real number, got {value!r}")
 
 
@@ -439,20 +464,13 @@ def merge_battlefields(
     return new_instance, new_a, new_b
 
 
-def _json_numbers(x, name: str):
-    """x, unless it is or holds a JSON boolean or string: float() reads true
-    as 1.0 and "2.5" as 2.5, but neither is a JSON number."""
-    if any(isinstance(v, (bool, str)) for v in (x if isinstance(x, (list, tuple)) else [x])):
-        raise InputError(f"{name} must be numeric: JSON booleans and strings are not numbers")
-    return x
-
-
 def instance_from_dict(data) -> GameInstance:
     """Build a GameInstance from the JSON instance schema.
 
     Expected keys: "budget_a", "budget_b", "values_a", "values_b"; n is
-    inferred from the array lengths.  Every number must be a JSON number;
-    a string or boolean raises InputError naming its field.  Unknown keys
+    inferred from the array lengths.  GameInstance's real-number rule
+    makes every number a JSON number: a string or boolean raises
+    InputError naming its field.  Unknown keys
     (e.g. "commit_a") are ignored here so callers can carry extra payload.
     """
     if not isinstance(data, dict):
@@ -461,10 +479,7 @@ def instance_from_dict(data) -> GameInstance:
     missing = [k for k in keys if k not in data]
     if missing:
         raise InputError(f"instance JSON missing keys: {', '.join(missing)}")
-    for key in ("values_a", "values_b"):
-        if not isinstance(data[key], (list, tuple)):
-            raise InputError(f"instance key {key!r} must be an array of reals")
-    return GameInstance(**{key: _json_numbers(data[key], key) for key in keys})
+    return GameInstance(**{key: data[key] for key in keys})
 
 
 def instance_to_dict(instance: GameInstance) -> dict:

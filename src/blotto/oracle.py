@@ -32,13 +32,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .best_response import _water_fill, best_response
+from .best_response import _require_positive_leader, _water_fill, best_response
 from .game_core import (
     Allocation,
     GameInstance,
     InputError,
-    PreconditionError,
     _check_alloc,
+    _real_array,
     _whole_number,
     total_utility,
 )
@@ -232,11 +232,10 @@ def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) ->
     follower's reply to each row comes from the same water-filling kernel
     as best_response.  Returns one utility per row.
     """
-    pts = np.asarray(leader_points, dtype=float)
+    pts = _real_array(leader_points, "leader_points")
     if pts.ndim != 2 or pts.shape[1] != instance.n:
         raise InputError("leader_points must be an (m, n) array")
-    if np.any(pts <= 0):
-        raise PreconditionError("all grid leader allocations must be positive")
+    _require_positive_leader(pts)
     order, _, filled, _, _ = _water_fill(pts, instance.values_b, instance.budget_b)
     xa_s = np.take_along_axis(pts, order, axis=1)
     xb_s = np.clip(filled, 0.0, None)
@@ -257,8 +256,7 @@ def oracle_best_response(
     _check_grid(grid)
     _check_alloc(instance, leader_alloc, "a")
     xa = leader_alloc.amounts
-    if np.any(xa <= 0):
-        raise PreconditionError("oracle_best_response needs positive leader entries")
+    _require_positive_leader(xa)
     counts, total = _grid_search(instance.n, grid, 0, partial(_greedy_box_max, instance, xa))
     alloc = Allocation(counts / total * instance.budget_b, instance.budget_b)
     return alloc, total_utility(instance, "b", leader_alloc, alloc)

@@ -169,6 +169,14 @@ class TestFollowerMarginalUtility:
         with pytest.raises(InputError, match="finite and non-negative"):
             follower_marginal_utility(inst, 0, x_aj, x_bj)
 
+    @pytest.mark.parametrize("x_aj, x_bj, field", [
+        ("1", 0.5, "x_aj"), (0.5, "1", "x_bj"), (True, 0.5, "x_aj"), (0.5, np.bool_(True), "x_bj"),
+    ], ids=["string-x_aj", "string-x_bj", "bool-x_aj", "bool-x_bj"])
+    def test_rejects_strings_and_bools(self, x_aj, x_bj, field):
+        inst = GameInstance(1.0, 1.0, np.array([1.0]), np.array([2.0]))
+        with pytest.raises(InputError, match=f"{field} must be a real number"):
+            follower_marginal_utility(inst, 0, x_aj, x_bj)
+
 
 class TestSupportPrefix:
     def test_leader_proportional_to_follower_values_keeps_full_support(self, rng):

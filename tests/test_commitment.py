@@ -114,6 +114,17 @@ class TestThresholdAllocation:
         with pytest.raises(InputError, match="finite"):
             threshold_allocation_outside_support(inst, [0, 1], [bad, 0.3])
 
+    @pytest.mark.parametrize("bad", ["0.5", True, np.bool_(True)], ids=repr)
+    def test_rejects_a_spend_that_is_not_a_real_number(self, bad):
+        inst = GameInstance(1.0, 1.0, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(InputError, match="x_a_on_K must be numeric"):
+            threshold_allocation_outside_support(inst, [0, 1], [bad, 0.3])
+
+    def test_rejects_an_index_out_of_range(self):
+        inst = GameInstance(1.0, 1.0, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(InputError, match=r"battlefield index 3 out of range \[0, 3\)"):
+            threshold_allocation_outside_support(inst, [0, 3], [0.5, 0.3])
+
 
 class TestCaseCoefficients:
     def test_matches_direct_recomputation(self, rng):

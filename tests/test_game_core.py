@@ -1,6 +1,10 @@
 """Instance/allocation types, utilities, ordering, the split/merge maps, and
 the ratio-class quotient both solvers work on."""
 
+import warnings
+from fractions import Fraction
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +176,81 @@ class TestAllocation:
         assert not alloc.amounts.flags.writeable and alloc.amounts.flags.c_contiguous
         src[0] = 0.0
         assert alloc.amounts[0] == 0.5
+
+
+# Positive reals of every accepted kind, and a value of each rejected kind.
+REALS = st.one_of(
+    st.integers(1, 1000),
+    st.floats(1.0, 1000.0),
+    st.integers(1, 1000).map(np.int64),
+    st.integers(1, 1000).map(np.uint16),
+    st.floats(1.0, 1000.0).map(np.float64),
+    st.floats(1.0, 1000.0, width=32).map(np.float32),
+)
+NON_REALS = [True, np.bool_(False), "1", b"1", None, 1 + 0j, Fraction(1, 2)]
+
+
+class TestRealNumberRule:
+    """GameInstance and Allocation read budgets, values and amounts under
+    one rule: Python or numpy ints and floats.  float() and np.asarray(x,
+    dtype=float) would read True as 1.0, "1" and b"1" as 1.0, None as nan,
+    a Fraction as its value and a complex number without its imaginary part."""
+
+    CONTAINERS = [list, tuple, *(partial(np.array, dtype=t) for t in (np.float64, np.int64, np.float32))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(REALS, min_size=1, max_size=8), budget=REALS,
+           container=st.sampled_from(CONTAINERS))
+    def test_reals_read_as_np_asarray_reads_them(self, entries, budget, container):
+        x = container(entries)
+        want = np.asarray(x, dtype=float)
+        inst = GameInstance(budget, budget, x, x)
+        alloc = Allocation(x, float(want.sum()))
+        assert inst.budget_a == inst.budget_b == float(budget)
+        for got in (inst.values_a, inst.values_b, alloc.amounts):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(REALS, min_size=1, max_size=8), bad=st.sampled_from(NON_REALS),
+           data=st.data())
+    def test_one_non_real_anywhere_names_its_field(self, entries, bad, data):
+        at = data.draw(st.integers(0, len(entries)))
+        x = data.draw(st.sampled_from([list, tuple]))([*entries[:at], bad, *entries[at:]])
+        ones = [1.0] * len(x)
+        for field, build in (
+            ("values_a", lambda: GameInstance(1.0, 1.0, x, ones)),
+            ("values_b", lambda: GameInstance(1.0, 1.0, ones, x)),
+            ("allocation amounts", lambda: Allocation(x, float(len(x)))),
+        ):
+            with pytest.raises(InputError, match=f"^{field} must be numeric"):
+                build()
+
+    @pytest.mark.parametrize("bad", NON_REALS, ids=repr)
+    def test_non_real_budgets_name_their_field(self, bad):
+        for field, build in (
+            ("budget_a", lambda: GameInstance(bad, 1.0, [1.0], [1.0])),
+            ("budget_b", lambda: GameInstance(1.0, bad, [1.0], [1.0])),
+            ("allocation budget", lambda: Allocation([1.0], bad)),
+        ):
+            with pytest.raises(InputError, match=f"^{field} must be numeric"):
+                build()
+
+    def test_strings_and_bools_are_not_coerced(self):
+        with pytest.raises(InputError, match="^budget_a must be numeric"):
+            GameInstance("2", True, ["1", "2"], [True, 3.0])
+        with pytest.raises(InputError, match="^allocation amounts must be numeric"):
+            Allocation([True, False], 1.0)
+
+    def test_complex_arrays_raise_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for field, build in (
+                ("allocation amounts", lambda: Allocation(np.array([0.5 + 1j, 0.5]), 1.0)),
+                ("values_a", lambda: GameInstance(1.0, 1.0, np.array([1 + 1j, 2.0]), [1.0, 1.0])),
+                ("values_b", lambda: GameInstance(1.0, 1.0, [1.0, 1.0], [np.complex64(2), 2.0])),
+            ):
+                with pytest.raises(InputError, match=f"^{field} must be numeric"):
+                    build()
 
 
 class TestPerBattlefieldUtility:

@@ -242,6 +242,17 @@ class TestBatchLeaderUtilities:
                     total_utility(inst, "a", leader, reply.allocation), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("bad", ["0.5", True, np.bool_(True)], ids=repr)
+    def test_rejects_points_that_are_not_real_numbers(self, bad):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        with pytest.raises(InputError, match="leader_points must be numeric"):
+            batch_leader_utilities(inst, [[0.5, 0.5], [bad, 0.5]])
+
+    def test_names_the_first_point_that_is_not_positive(self):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        with pytest.raises(PreconditionError, match="entry 1, 0 is"):
+            batch_leader_utilities(inst, np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]]))
+
 
 class TestOracleCommitment:
     def test_worked_example_weak_leader(self):

@@ -764,8 +764,20 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     outcome, which _prefix_candidate rebuilds for k = 1..n; a note names
     canonical positions, K=[0..end-1], where end is where the prefix's
     last class ends.  That path solves every prefix twice: with top still
-    -inf the queue has already solved every prefix before it.
+    -inf the queue has already solved every prefix before it.  The raised
+    error holds its message, not the solve's arrays: it is raised from a
+    frame that never held the canonical instance, the quotient, the bounds
+    or a draft, so a caller that keeps the error keeps only the message.
     """
+    outcome = _commitment(instance)
+    if isinstance(outcome, str):
+        raise SolverInvariantError(outcome)
+    return outcome
+
+
+def _commitment(instance: GameInstance) -> CommitmentSolution | str:
+    """optimal_commitment's work: the solution, or the message of the error
+    that optimal_commitment raises, so that the arrays die with this frame."""
     canon, ordering = canonical_ordering(instance)
     quotient = ratio_quotient(canon)
     game = quotient.game
@@ -800,7 +812,7 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
         notes = "; ".join(
             f"K=[0..{ends[k - 1] - 1}]: {_prefix_candidate(game, k)[1]}" for k in range(1, game.n + 1)
         )
-        raise SolverInvariantError(f"no valid commitment candidate; per-prefix outcomes: {notes}")
+        return f"no valid commitment candidate; per-prefix outcomes: {notes}"
     best_k = min(valid)
     for k in sorted(valid):
         u, u_best = valid[k].leader_utility, valid[best_k].leader_utility

@@ -34,6 +34,7 @@ import numpy as np
 
 from .best_response import _require_positive_leader, _water_fill, best_response
 from .game_core import (
+    BUDGET_SUM_RTOL,
     Allocation,
     GameInstance,
     InputError,
@@ -228,14 +229,25 @@ def _grid_search(
 def batch_leader_utilities(instance: GameInstance, leader_points: np.ndarray) -> np.ndarray:
     """Leader utility of each row of leader_points after the follower replies.
 
-    Every row must be a strictly positive allocation of budget_a; the
-    follower's reply to each row comes from the same water-filling kernel
-    as best_response.  Returns one utility per row.
+    Every row must be a strictly positive allocation of budget_a: finite,
+    and summing to budget_a within BUDGET_SUM_RTOL, like an Allocation.
+    The first row that is not raises InputError.  The follower's reply to
+    each row comes from the same water-filling kernel as best_response.
+    Returns one utility per row.
     """
     pts = _real_array(leader_points, "leader_points")
     if pts.ndim != 2 or pts.shape[1] != instance.n:
         raise InputError("leader_points must be an (m, n) array")
     _require_positive_leader(pts)
+    budget = instance.budget_a
+    sums = pts.sum(axis=1)  # nan or inf when a row holds one
+    bad = ~(np.abs(sums - budget) <= BUDGET_SUM_RTOL * budget)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(
+            f"leader_points row {i} sums to {float(sums[i])!r}; every row must be "
+            f"finite and sum to budget_a {budget!r}"
+        )
     order, _, filled, _, _ = _water_fill(pts, instance.values_b, instance.budget_b)
     xa_s = np.take_along_axis(pts, order, axis=1)
     xb_s = np.clip(filled, 0.0, None)

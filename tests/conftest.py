@@ -1,9 +1,12 @@
 """Shared fixtures and instance generators for the test suite."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blotto import Allocation, GameInstance, check_coincidence
+from blotto import Allocation, GameInstance, SolverInvariantError, check_coincidence
 
 # Same distribution the CLI `gen` subcommand uses, so property tests and
 # generated corpora exercise identical input ranges.
@@ -55,6 +58,27 @@ def two_class_instance(n, seed, scale=1.0):
     vb = va * np.where(np.arange(n) % 2 == 0, 0.5, 2.0)
     threshold = check_coincidence(GameInstance(1.0, 1.0, va, vb)).threshold
     return GameInstance(threshold, 1.0, va, vb)
+
+
+def retained_by_error(call, *args):
+    """(bytes, error): the SolverInvariantError that call(*args) raises,
+    and the bytes tracemalloc still counts while the error is kept, after
+    a garbage collection.  One unmeasured call runs first, so one-time
+    allocations (caches, interned strings) are not counted."""
+    with pytest.raises(SolverInvariantError):
+        call(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(SolverInvariantError) as info:
+            call(*args)
+        error = info.value
+        del info
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, error
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

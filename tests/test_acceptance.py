@@ -260,6 +260,43 @@ def test_criterion_06_grid_optimal_support_is_a_ratio_prefix():
         assert violations == 0
 
 
+def _class_instance(n, classes, seed):
+    """values_b = values_a times one factor per ratio class, drawn U[0.2, 5];
+    the classes' sizes differ by at most one, and values and budgets are
+    drawn U[0.1, 10] as `gen` draws them."""
+    rng = np.random.default_rng(seed)
+    va = rng.uniform(0.1, 10.0, n)
+    factors = rng.uniform(0.2, 5.0, classes)
+    vb = va * factors[rng.permutation(np.arange(n) % classes)]
+    return GameInstance(*rng.uniform(0.1, 10.0, 2), va, vb)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("n", [256, 2048])
+def test_criteria_05_06_hold_through_the_quotient_at_large_n(n, classes, seed):
+    # A game with a few ratio classes is checked by the grid oracle on its
+    # quotient: the grid optimum, spread over the classes, is a point of
+    # the game itself, so it bounds the solver's utility from below.
+    with criterion(5):
+        inst = _class_instance(n, classes, seed)
+        canon, ordering = canonical_ordering(inst)
+        quotient = ratio_quotient(canon)
+        assert quotient.game.n == classes
+        alloc, grid_utility, support = oracle_commitment(quotient.game, GridSpec(500))
+        assert optimal_commitment(inst).leader_utility >= grid_utility - 1e-3
+        spread = Allocation(ordering.to_original(quotient.spread(alloc).amounts), inst.budget_a)
+        reply = best_response(inst, spread)
+        assert total_utility(inst, "a", spread, reply.allocation) == pytest.approx(
+            grid_utility, rel=1e-9
+        )
+    with criterion(6):
+        members = np.flatnonzero(np.isin(quotient.labels, support))
+        mapped = {int(ordering.permutation[j]) for j in members}
+        assert set(reply.support) == mapped
+        assert mapped == {int(j) for j in ordering.permutation[: len(mapped)]}
+
+
 def test_criterion_07_equilibrium_utility_bounds_hold():
     with criterion(7, runtime_limit=120.0):
         rng = np.random.default_rng(20240707)

@@ -155,6 +155,19 @@ class TestSolveCommitment:
         assert "OverflowError" in err
 
 
+    def test_tiled_skew_exits_3_with_every_prefix(self, tmp_path, capsys):
+        # The CI skew instance's two battlefields tiled to n = 2048.
+        path = write_json(tmp_path, "skew2048.json", {
+            "budget_a": 2, "budget_b": 1,
+            "values_a": [1e100, 5e100] * 1024, "values_b": [1e-100, 0.5e-100] * 1024,
+        })
+        with np.errstate(all="ignore"):
+            assert main(["solve-commitment", "--instance", path]) == 3
+        assert capsys.readouterr().err == (
+            "solver invariant failure: no valid commitment candidate; per-prefix outcomes: "
+            "K=[0..1023]: infeasible; K=[0..2047]: InputError: allocation amounts must be finite\n"
+        )
+
     def test_expected_overflow_prints_only_the_failure(self, tmp_path):
         # `gen --n 3 --seed 2` times 1e100: CASE_2_2 overflows on the way to
         # exit 3, and numpy's RuntimeWarnings must not reach the console.  A

@@ -41,7 +41,8 @@ from blotto.commitment import (
 )
 from blotto.cli import VERIFY_COMMIT_ATOL
 from blotto.game_core import BUDGET_SUM_RTOL, ratio_quotient
-from conftest import random_instance, tied_instance, worked_example_instance
+from conftest import random_instance, retained_by_error, tied_instance, worked_example_instance
+from record_digests import load_digests
 
 # n=3 instance whose optimal commitment concedes battlefield 2 (a proper
 # prefix support {0, 1}); found by seeded search, pinned for regression.
@@ -373,30 +374,16 @@ def _digest(sol) -> str:
 
 
 # _digest(optimal_commitment(...)) of the `blotto gen --n N --seed S`
-# instance, recorded at commit ff3c90a (scalar refinement on numpy floats).
-# Beyond the golden corpus, which stops at n=16; every bit must stay.
-PINNED_DIGESTS = {
-    (32, 0): "387c2ceb641440e1",
-    (32, 1): "dfdf069f33a6d2b4",
-    (32, 2): "c60dd05baa4f5188",
-    (32, 3): "7a43fce95d5a4d61",
-    (32, 4): "2abb7b497c0ac3ca",
-    (64, 0): "66322fa2eda0c795",
-    (64, 1): "cd931af92b12cafc",
-    (64, 2): "3d44e0476cdf1742",
-    (64, 3): "ff0c8ff2e319aeba",
-    (64, 4): "a21572af1de64ff7",
-    (128, 0): "d6c4cb63a8a1520d",
-    (128, 1): "932b12eeead93a74",
-    (128, 2): "f10428d8f4dc7fb0",
-    (128, 3): "11ccc75b5d6b9da3",
-    (128, 4): "80ebefb2d0527c61",
-    # recorded at 3b571c8, before the solvers were keyed on prefix length
-    (256, 0): "e44f4526a521686d",
-    (256, 1): "6410acdf84a28215",
-    (512, 0): "47e9c6de8c7499ff",
-    (512, 1): "e28606bcfbccc22a",
-}
+# instance, recorded at commit ff3c90a (scalar refinement on numpy floats);
+# the n = 256 and 512 entries at 3b571c8, before the solvers were keyed on
+# prefix length.  Beyond the golden corpus, which stops at n=16; every bit
+# must stay.
+PINNED_DIGESTS = load_digests("test_commitment.PINNED_DIGESTS")
+
+
+def pinned_entry(n, seed):
+    """PINNED_DIGESTS' entry for (n, seed)."""
+    return _digest(optimal_commitment(random_instance(np.random.default_rng(seed), n)))
 
 
 # _digest(optimal_commitment(tied_instance(n, seed, budget_a))), re-recorded
@@ -404,28 +391,23 @@ PINNED_DIGESTS = {
 # before).  A strong leader wins with the first ratio class (CASE_1 at
 # k = 1 of the quotient, with several battlefields), which no gen instance
 # reaches.
-TIED_DIGESTS = {
-    (8, 2, 20.0): ("CASE_1", "9cbee10897459b45"),
-    (8, 16, 2.0): ("CASE_1", "fb1da9603df32c96"),
-    (8, 0, 2.0): ("CASE_2_2", "e322d4610d8f96e0"),
-    (16, 1, 20.0): ("CASE_1", "228249001197a573"),
-    (16, 0, 20.0): ("CASE_2_2", "b2af949dd510d016"),
-    (32, 1, 20.0): ("CASE_1", "e8af7c50ac8aaf9e"),
-    (32, 0, 0.5): ("CASE_2_1", "b8ef66031f6e9148"),
-    (64, 0, 2.0): ("CASE_2_2", "a21a769007db93a6"),
-}
+TIED_DIGESTS = load_digests("test_commitment.TIED_DIGESTS")
+
+
+def tied_entry(n, seed, budget_a):
+    """TIED_DIGESTS' entry for (n, seed, budget_a)."""
+    sol = optimal_commitment(tied_instance(n, seed, budget_a))
+    return sol.case_tag, _digest(sol)
 
 
 class TestLargeN:
     @pytest.mark.parametrize("n, seed", sorted(PINNED_DIGESTS))
     def test_gen_instance_output_is_bit_identical(self, n, seed):
-        inst = random_instance(np.random.default_rng(seed), n)
-        assert _digest(optimal_commitment(inst)) == PINNED_DIGESTS[n, seed]
+        assert pinned_entry(n, seed) == PINNED_DIGESTS[n, seed]
 
     @pytest.mark.parametrize("n, seed, budget_a", sorted(TIED_DIGESTS))
     def test_tied_ratio_output_is_bit_identical(self, n, seed, budget_a):
-        sol = optimal_commitment(tied_instance(n, seed, budget_a))
-        assert (sol.case_tag, _digest(sol)) == TIED_DIGESTS[n, seed, budget_a]
+        assert tied_entry(n, seed, budget_a) == TIED_DIGESTS[n, seed, budget_a]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_properties_at_n256(self, seed):
@@ -452,16 +434,17 @@ def log_uniform_instance(seed):
 # search ends after that many truncation passes.  About 1 in 100 CASE_2_2
 # calls in this range ends before the last pass; no `gen`-range call ends
 # after 2 or 3 passes.
-PASS_DIGESTS = {
-    3699: (1, 2, "13056b8a139bc8a5"),  # n=3
-    2034: (1, 3, "b897d2007e54fe16"),  # n=8
-    297: (2, 2, "9f220f2d8fba0992"),  # n=4
-    256: (2, 2, "ad95c526ce659cf1"),  # n=8
-    128: (3, 5, "b3a74656f3797372"),  # n=12
-    306: (3, 2, "f02ed7053fa99aaf"),  # n=14
-    6: (4, 5, "64b846f4ff5bd2ed"),  # n=8
-    3: (4, 13, "773471f0c6071622"),  # n=14
-}
+PASS_DIGESTS = load_digests("test_commitment.PASS_DIGESTS")
+
+
+def pass_entry(seed):
+    """PASS_DIGESTS' entry for seed; the winner must be CASE_2_2."""
+    inst = log_uniform_instance(seed)
+    sol = optimal_commitment(inst)
+    canon, k = canonical_ordering(inst)[0], len(sol.support)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        passes = TestTruncationPasses.passes(monkeypatch, canon, k)
+    return passes, k, _digest(sol)
 
 
 def extreme_instance(seed, exponent=6):
@@ -487,40 +470,21 @@ def _outcome(instance):
 
 
 # (exponent, seed): _outcome(extreme_instance(seed, exponent)), recorded at
-# 6727b0a.  The CASE_2_2 alpha scan of the later entries meets a truncated
-# end whose two end samples are not finite (both -inf on a live interval),
-# so that pass is scanned in full to decide whether a wider one follows.
-# At 1e±6, 22 of the first 1008 seeds do; at 1e±3 and in the `gen` range
+# 6727b0a.  The CASE_2_2 alpha scan of 15 entries (1e±6 seeds 1, 19, 87,
+# 229, 455, 505, 523, 690, 847, 892 and 1211, and the four at 1e±12) meets
+# a truncated end whose two end samples are not finite (both -inf on a live
+# interval), so that pass is scanned in full to decide whether a wider one
+# follows.  At 1e±6, 22 of the first 1008 seeds do; at 1e±3 and in the `gen` range
 # none of 1000 did.  (6, 1211) wins with a candidate from the pass after
 # such a scan, and (12, 1255) loses one when the scan ends the loop.
-EXTREME_DIGESTS = {
-    (6, 0): ("CASE_2_2", 2, "5c23d542b9407c62"),  # n=10
-    (6, 6): ("CASE_2_2", 2, "b2744661bbc67a80"),  # n=6
-    (6, 7): ("CASE_2_2", 5, "15b682f8fdd376ed"),  # n=11
-    (6, 2): ("CASE_2_1", 10, "f9679d8ed7e317c6"),  # n=10
-    (6, 3): ("CASE_2_1", 10, "7255d163a183464c"),  # n=10
-    (6, 5): ("CASE_1", 1, "91a1d3b07b861d21"),  # n=8
-    (6, 16): ("CASE_1", 1, "f3a0635dbb9ba498"),  # n=7
-    (6, 8): ("SolverInvariantError", "d26a44f3a9548cc1"),  # n=9
-    (6, 30): ("SolverInvariantError", "4246eb20251d200e"),  # n=3
-    (6, 34): ("SolverInvariantError", "b80fa7eb2f6cc19d"),  # n=2
-    # these reach the pass whose full scan decides (see FALLBACK_PASSES)
-    (6, 1): ("SolverInvariantError", "2904f2831195400b"),  # n=6
-    (6, 19): ("SolverInvariantError", "74f3fd6ad4ab98cd"),  # n=7
-    (6, 87): ("CASE_1", 1, "507e002c0c13ec0a"),  # n=8
-    (6, 229): ("SolverInvariantError", "6ba2da970355d328"),  # n=7
-    (6, 455): ("SolverInvariantError", "6611a00a73ee8a8d"),  # n=9
-    (6, 505): ("CASE_1", 1, "3ca2c1e47e360086"),  # n=10
-    (6, 523): ("CASE_1", 1, "f816a355006dc668"),  # n=4
-    (6, 690): ("SolverInvariantError", "cc63b1be4e2f96dc"),  # n=8
-    (6, 847): ("CASE_1", 1, "e4dfa959509cae33"),  # n=4
-    (6, 892): ("CASE_1", 1, "78cdacf30c9dda1d"),  # n=8
-    (6, 1211): ("CASE_2_2", 7, "3edd7993ee7d7751"),  # n=10
-    (12, 435): ("CASE_1", 1, "ba94da24bdc7e73d"),  # n=8
-    (12, 1129): ("CASE_1", 1, "fb059efa3310f90a"),  # n=10
-    (12, 1255): ("SolverInvariantError", "2db6f014967169f0"),  # n=7
-    (12, 1843): ("SolverInvariantError", "e3780a0571d6d50c"),  # n=9
-}
+EXTREME_DIGESTS = load_digests("test_commitment.EXTREME_DIGESTS")
+
+
+def extreme_entry(exponent, seed):
+    """EXTREME_DIGESTS' entry for (exponent, seed)."""
+    with np.errstate(all="ignore"):
+        return _outcome(extreme_instance(seed, exponent))
+
 
 # (exponent, seed, k): truncation passes of the CASE_2_2 call at prefix k of
 # extreme_instance(seed, exponent), one of whose passes is scanned in full
@@ -576,13 +540,9 @@ class TestTruncationPasses:
         return cls.pass_number(canon, *cls.scans(monkeypatch, canon, k)[0][-1])
 
     @pytest.mark.parametrize("seed", sorted(PASS_DIGESTS))
-    def test_pass_count_output_is_bit_identical(self, monkeypatch, seed):
-        inst = log_uniform_instance(seed)
-        passes, k, digest = PASS_DIGESTS[seed]
-        sol = optimal_commitment(inst)
-        assert (sol.case_tag, len(sol.support), _digest(sol)) == ("CASE_2_2", k, digest)
-        canon, _ = canonical_ordering(inst)
-        assert self.passes(monkeypatch, canon, k) == passes
+    def test_pass_count_output_is_bit_identical(self, seed):
+        assert optimal_commitment(log_uniform_instance(seed)).case_tag == "CASE_2_2"
+        assert pass_entry(seed) == PASS_DIGESTS[seed]
 
     def test_golden_section_runs_once_per_candidate(self, monkeypatch):
         # Only the pass that ends the loop is refined.  Seed 6 has three
@@ -1051,6 +1011,19 @@ class TestExtremeScales:
             ):
                 optimal_commitment(inst)
 
+    def test_a_kept_error_holds_its_message_not_the_solve(self):
+        # The CI skew instance tiled to n = 2048 (two ratio classes).  The
+        # error's traceback must not keep the canonical instance, quotient,
+        # bounds or last draft, about 84 KiB together.
+        inst = GameInstance(2.0, 1.0, np.tile([1e100, 5e100], 1024), np.tile([1e-100, 0.5e-100], 1024))
+        with np.errstate(all="ignore"):
+            held, error = retained_by_error(optimal_commitment, inst)
+        assert str(error) == (
+            "no valid commitment candidate; per-prefix outcomes: K=[0..1023]: infeasible; "
+            "K=[0..2047]: InputError: allocation amounts must be finite"
+        )
+        assert held <= 8 * 1024
+
     def test_overflowing_budget_is_a_solver_invariant_error(self):
         # x_a**2 overflows in CaseCoefficients; it used to escape as a bare
         # OverflowError.
@@ -1084,9 +1057,7 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("exponent, seed", sorted(EXTREME_DIGESTS))
     def test_extreme_scale_output_is_bit_identical(self, exponent, seed):
-        with np.errstate(all="ignore"):
-            outcome = _outcome(extreme_instance(seed, exponent))
-        assert outcome == EXTREME_DIGESTS[exponent, seed]
+        assert extreme_entry(exponent, seed) == EXTREME_DIGESTS[exponent, seed]
 
     def test_golden_search_ends_where_float_spacing_exceeds_alpha_tol(self):
         # One float spacing near 1e12 is 1.2e-4 > ALPHA_TOL: the bracket

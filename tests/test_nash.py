@@ -22,7 +22,8 @@ from blotto import (
 )
 from blotto import nash
 from blotto.cli import main
-from conftest import random_instance, worked_example_instance
+from conftest import random_instance, retained_by_error, worked_example_instance
+from record_digests import load_digests
 
 
 class TestNashPoly:
@@ -236,6 +237,17 @@ class TestSolverFailures:
             solve_nash(worked_example_instance(0.5))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("n, seed", [(512, 0), (2048, 0)])
+def test_a_kept_error_holds_its_message_not_the_scan(n, seed):
+    # The error's traceback must not keep the solve: the scan grid, its
+    # values and signs alone are 106 KiB at n = 512 and 130 KiB at 2048.
+    held, error = retained_by_error(solve_nash, random_instance(np.random.default_rng(seed), n))
+    assert str(error).startswith("no sign change of f on [")
+    assert held <= 8 * 1024
+
+
 def root_outcome(root_finder, f, xa, xb, **kwargs):
     """The root's exact bits, or the ValueError message."""
     try:
@@ -327,32 +339,16 @@ def _outcome_digest(inst) -> str:
 
 
 # _outcome_digest of the `blotto gen --n N --seed S` instance, recorded at
-# commit 9387141 (unblocked product-form scan).  Beyond the golden corpus,
-# which stops at n=16; every bit must stay.  (512, 0), (512, 2), (512, 4)
-# and (2048, 0) pin a SolverInvariantError: the product form overflows.
-PINNED_DIGESTS = {
-    (32, 0): "d2fc459f16a4ec32",
-    (32, 1): "905755aba74ce46c",
-    (32, 2): "2401bd7fe33cd5bd",
-    (32, 3): "55523ea253248c5c",
-    (32, 4): "f0b46bfd46730d42",
-    (64, 0): "1365475553283335",
-    (64, 1): "23721bb806aa85bf",
-    (64, 2): "c4a0177b8b90fa57",
-    (64, 3): "4201a92489d91ae9",
-    (64, 4): "affcfc43f30498ce",
-    (128, 0): "3951aeae4cf45240",
-    (128, 1): "d0abbf650db76076",
-    (128, 2): "dfc123c206987581",
-    (128, 3): "4887c67e0f28d95c",
-    (128, 4): "364eb66957cbb4e9",
-    (512, 0): "43a92041295c5113",
-    (512, 1): "dd48c5938af719e4",
-    (512, 2): "dbdd394b31b705a7",
-    (512, 3): "cb6ec92978ccc740",
-    (512, 4): "61450c33fed9ba05",
-    (2048, 0): "823963ac0002e882",
-}
+# commit 9387141 (unblocked product-form scan) and kept in
+# tests/digests.json.  Beyond the golden corpus, which stops at n=16; every
+# bit must stay.  (512, 0), (512, 2), (512, 4) and (2048, 0) pin a
+# SolverInvariantError: the product form overflows.
+PINNED_DIGESTS = load_digests("test_nash.PINNED_DIGESTS")
+
+
+def pinned_entry(n, seed):
+    """PINNED_DIGESTS' entry for (n, seed)."""
+    return _outcome_digest(random_instance(np.random.default_rng(seed), n))
 
 
 # First overflowing row of the solve grid of `blotto gen --n N --seed S`:
@@ -397,8 +393,7 @@ def assert_cut_scan_is_exact(inst, grid, cut):
 class TestLargeN:
     @pytest.mark.parametrize("n, seed", sorted(PINNED_DIGESTS))
     def test_gen_instance_output_is_bit_identical(self, n, seed):
-        inst = random_instance(np.random.default_rng(seed), n)
-        assert _outcome_digest(inst) == PINNED_DIGESTS[n, seed]
+        assert pinned_entry(n, seed) == PINNED_DIGESTS[n, seed]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 513, 2049, 70000])
     def test_scan_blocks_match_single_point_evaluations(self, n):

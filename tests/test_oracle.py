@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from blotto import (
     total_utility,
 )
 from blotto import oracle
+from blotto.game_core import BUDGET_SUM_RTOL
 from blotto.oracle import REFINE_FACTOR, REFINE_HALO, batch_leader_utilities
 from conftest import random_instance, random_positive_allocation, worked_example_instance
+from record_digests import load_digests
 
 
 def follower_payoff(instance, xa, xb):
@@ -247,6 +250,21 @@ class TestBatchLeaderUtilities:
         inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
         with pytest.raises(InputError, match="leader_points must be numeric"):
             batch_leader_utilities(inst, [[0.5, 0.5], [bad, 0.5]])
+
+    @pytest.mark.parametrize(
+        "row, total", [([math.nan, 0.5], "nan"), ([math.inf, 0.5], "inf"), ([5.0, 0.5], "5.5")]
+    )
+    def test_names_the_first_row_that_is_not_an_allocation_of_budget_a(self, row, total):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"leader_points row 1 sums to {total}; every row"):
+                batch_leader_utilities(inst, [[0.5, 0.5], row, [0.25, 0.75]])
+
+    def test_accepts_rows_within_the_budget_tolerance(self):
+        inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
+        rows = [[0.5, 0.5 + 0.5 * BUDGET_SUM_RTOL], [0.5, 0.5 - 0.5 * BUDGET_SUM_RTOL]]
+        assert batch_leader_utilities(inst, rows).shape == (2,)
 
     def test_names_the_first_point_that_is_not_positive(self):
         inst = GameInstance(1.0, 1.0, np.ones(2), np.ones(2))
@@ -491,73 +509,31 @@ def oracle_digest(alloc, utility):
 # pass above it.  The gen-15, log-115 and (1000, 3) cases reached the heap;
 # every refined R in {2, 7} case and logs 111, 114 and 115 refine a box
 # clipped at 0.
-BEST_RESPONSE_DIGESTS = {
-    ("gen", 0, 1, 2, 0): "38a589380b1190be",
-    ("gen", 1, 2, 2, 1): "9829944224a37986",
-    ("gen", 2, 3, 2, 2): "64de874aff1be474",
-    ("gen", 3, 4, 2, 3): "afc3fd86a489a770",
-    ("gen", 4, 1, 7, 1): "b7a5c9d12e8a6025",
-    ("gen", 5, 2, 7, 2): "db5a81536d2a570e",
-    ("gen", 6, 3, 7, 3): "377ec7751edb08fb",
-    ("gen", 7, 4, 7, 0): "7c92926329192c72",
-    ("gen", 8, 1, 60, 2): "131b71cdacdc63c6",
-    ("gen", 9, 2, 60, 3): "37f81c7acffa4938",
-    ("gen", 10, 3, 60, 0): "6ae655f66a927dd3",
-    ("gen", 11, 4, 60, 1): "8492a1c871908ff7",
-    ("gen", 12, 1, 500, 3): "425af4e724b81729",
-    ("gen", 13, 2, 500, 0): "a47f0f53b5e3da7b",
-    ("gen", 14, 3, 500, 1): "6aac4bc9b6c93c6b",
-    ("gen", 15, 4, 500, 2): "69a5c314b76bd5f5",
-    ("gen", 16, 1, 2, 0): "2d2b7490f5a48eb5",
-    ("gen", 17, 2, 2, 1): "4678bb0e4d148501",
-    ("gen", 18, 3, 2, 2): "0cda828f175c9ad3",
-    ("gen", 19, 4, 2, 3): "c1215003d4c61038",
-    ("gen", 40, 4, 1000, 3): "6d7601a7585b5296",
-    ("log", 100, 1, 2, 0): "1b69469a0cf1f1fe",
-    ("log", 101, 2, 2, 1): "7e84813a3d4575b3",
-    ("log", 102, 3, 2, 2): "4f203df00da852e8",
-    ("log", 103, 4, 2, 3): "e32c8bf2f63a66bd",
-    ("log", 104, 1, 7, 1): "62307bc9674731c3",
-    ("log", 105, 2, 7, 2): "9632d54103dc2361",
-    ("log", 106, 3, 7, 3): "206d3be39d87479d",
-    ("log", 107, 4, 7, 0): "6586286d739fd360",
-    ("log", 108, 1, 60, 2): "ee49b4330928ab6e",
-    ("log", 109, 2, 60, 3): "4c4fc79e0491ab62",
-    ("log", 110, 3, 60, 0): "3c68a51740560d98",
-    ("log", 111, 4, 60, 1): "dc16b4159d3f51df",
-    ("log", 112, 1, 500, 3): "929997a8119787d5",
-    ("log", 113, 2, 500, 0): "37c1d7bd37671eb4",
-    ("log", 114, 3, 500, 1): "41d5e1e3aa415594",
-    ("log", 115, 4, 500, 2): "7dd4540f126755e4",
-    ("log", 116, 1, 2, 0): "474612281d1e6e96",
-    ("log", 117, 2, 2, 1): "97d889a64c04f1cb",
-    ("log", 118, 3, 2, 2): "88b2c16c21c11e23",
-    ("log", 119, 4, 2, 3): "b12152d0e91540f6",
-}
+BEST_RESPONSE_DIGESTS = load_digests("test_oracle.BEST_RESPONSE_DIGESTS")
 
 # The same for oracle_commitment's allocation and utility (only the instance
 # of oracle_case is used), recorded at 211a016.
-COMMITMENT_DIGESTS = {
-    ("gen", 0, 2, 60, 0): "d0eda6a1e361c6fa",
-    ("gen", 1, 2, 150, 1): "20b5bee6244ce183",
-    ("gen", 2, 3, 60, 1): "9ec0ac930dd9d565",
-    ("gen", 3, 3, 120, 2): "a87a3e3601124f65",
-    ("log", 100, 2, 100, 1): "bc9cdc5b35276448",
-    ("log", 101, 3, 80, 2): "00d57fadbebb5cd4",
-}
+COMMITMENT_DIGESTS = load_digests("test_oracle.COMMITMENT_DIGESTS")
+
+
+def best_response_entry(kind, seed, n, resolution, rounds):
+    """BEST_RESPONSE_DIGESTS' entry for its key."""
+    inst, leader = oracle_case(kind, seed, n)
+    return oracle_digest(*oracle_best_response(inst, leader, GridSpec(resolution, rounds)))
+
+
+def commitment_entry(kind, seed, n, resolution, rounds):
+    """COMMITMENT_DIGESTS' entry for its key."""
+    inst, _ = oracle_case(kind, seed, n)
+    alloc, utility, _ = oracle_commitment(inst, GridSpec(resolution, rounds))
+    return oracle_digest(alloc, utility)
 
 
 class TestPinnedOracleOutputs:
     @pytest.mark.parametrize("key", sorted(BEST_RESPONSE_DIGESTS))
     def test_best_response_digest(self, key):
-        kind, seed, n, resolution, rounds = key
-        inst, leader = oracle_case(kind, seed, n)
-        alloc, utility = oracle_best_response(inst, leader, GridSpec(resolution, rounds))
-        assert oracle_digest(alloc, utility) == BEST_RESPONSE_DIGESTS[key]
+        assert best_response_entry(*key) == BEST_RESPONSE_DIGESTS[key]
 
     @pytest.mark.parametrize("key", sorted(COMMITMENT_DIGESTS))
     def test_commitment_digest(self, key):
-        kind, seed, n, resolution, rounds = key
-        inst, _ = oracle_case(kind, seed, n)
-        alloc, utility, _ = oracle_commitment(inst, GridSpec(resolution, rounds))
-        assert oracle_digest(alloc, utility) == COMMITMENT_DIGESTS[key]
+        assert commitment_entry(*key) == COMMITMENT_DIGESTS[key]

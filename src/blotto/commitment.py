@@ -48,29 +48,36 @@ numbers break down at extreme scales (a float overflow, or a spend that is
 not a valid allocation).  _prefix_candidate is _round_trip of prefix k's
 draft, the reference enumeration.
 
-optimal_commitment does not solve every prefix, nor round-trip every draft
-it solves.  _prefix_bounds bounds, from prefix sums, the leader utility of
-any allocation whose follower reply has support exactly K, for every k at
-once.  It couples the leader's share on K with the spend that parks the
-battlefields outside K at their thresholds: both depend on how the spend
-on K lines up with sqrt(values_b), and the bound takes the best case over
-_BOUND_CELLS cells of that one parameter rather than each half's own best
-case.  Prefixes are solved, and their drafts round-tripped, in one
-descending order of a key: a prefix's bound, a draft's score.  The search
-stops at the first key below the best valid utility so far times 1 - (n +
-2) * TIE_RTOL, and a draft whose margin shows that K cannot be its reply
-support is not round-tripped at all.  It keeps only the valid candidates
-and folds them in ascending k, with the tie rule below.  Nothing skipped
-could have changed that fold, so the result is the one solving and
-round-tripping every prefix gives, bit for bit (optimal_commitment's
-docstring has the argument).  When no candidate is valid,
-SolverInvariantError reports every prefix's outcome from
-_prefix_candidate.
+optimal_commitment does not solve every prefix.  _prefix_table scores
+every prefix at once, in one array pass over the quotient's prefix sums.
+A CASE_2_2 prefix's reduced objective u_hat = num / den shares the factor
+L = v_aK - alpha v_bK between num and den, and without it reads u_hat =
+2 x_b v_bKbar (c_K - alpha v_aK) / (x_a L - sqrt(phi2)): a linear
+function over a linear one minus sqrt(phi2).  Its stationary points solve
+A sqrt(phi2) = b0 + b1 alpha with A = 2 x_a (v_bK c_K - v_aK^2), so they
+are roots of a quadratic in alpha.  The maximum of u_hat on the feasible
+set that the scan searches therefore lies at one of nine candidates: the
+two roots of that quadratic, the roots of phi2, the two region ends and
+the final truncation radius on either side.  Each feasible candidate gets
+_draft's score and margin in closed form from the prefix sums, and a
+row's score is the best score among its candidates with margin below 1 +
+_TABLE_RTOL.  The k = 1 and k = n rows are the CASE_1 and CASE_2_1 closed
+forms.  The prefixes are then solved by the case solvers, in descending
+order of score, only while the score stays in a band below the best
+valid utility so far; each solved draft is checked against its row and
+round-tripped, and the valid candidates are folded in ascending k with
+the tie rule below.  Nothing outside the band could have changed that
+fold, so the result is the one that solving and round-tripping every
+prefix gives, bit for bit (optimal_commitment's docstring has the
+argument).  When a solved draft strays from its row, or no band candidate
+is valid, optimal_commitment runs the reference enumeration instead, which
+also reports every prefix's outcome in SolverInvariantError when no
+candidate is valid.  The CASE_2_2 scan and golden-section search still
+give the commitment of each solved prefix.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -109,13 +116,12 @@ TRUNCATION_EXTENSIONS = 3
 # 67 of 1500 at 1e+-12, 1 of 1500 log_uniform_instance draws and
 # EXTREME_DIGESTS[(6, 0)], though on 0 of 1660 gen draws.
 TIE_RTOL = 1e-9
-# _prefix_bounds: the cells between the peak of h and c = 1, and the
-# prefixes whose (prefix, cell) grid it evaluates at a time.  32 cells
-# solve 615 of 2048 prefixes on gen --n 2048 --seed 0 (one cell: 801, 1024
-# cells: 562).
-_BOUND_CELLS = 32
-_BOUND_BLOCK_ROWS = 1024
-_BOUND_ENDS = np.linspace(1.0, 0.0, _BOUND_CELLS + 1)  # (1 - c) / (1 - c_h) at c_0 .. c_m
+# The prefix table's slack: the margin a kept candidate may reach above 1,
+# and how far a solved draft's score may stray from its row before
+# optimal_commitment falls back to the reference enumeration.  The band
+# below the best valid utility is twice this plus (n + 2) * TIE_RTOL.
+_TABLE_RTOL = 1e-6
+_TABLE_BLOCK_ROWS = 1024  # prefixes whose candidates the table holds at a time
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -640,91 +646,129 @@ def _prefix_candidate(
 ) -> tuple[CommitmentSolution | None, str | None]:
     """_round_trip of _prefix_draft: (candidate, None) for support prefix k
     of quotient, or (None, reason) when it is dropped, the reason saying
-    why.  The reference enumeration: optimal_commitment calls it only to
-    report every prefix's outcome when no candidate is valid."""
+    why.  The reference enumeration: optimal_commitment calls it for every
+    prefix, and only, when its table search falls back."""
     draft, reason = _prefix_draft(quotient, k)
     return _round_trip(quotient, k, draft) if draft is not None else (None, reason)
 
 
-def _prefix_bounds(game: GameInstance) -> np.ndarray:
-    """Upper bound on the leader utility of any allocation whose follower
-    reply has support exactly K = the first k battlefields of canonical
-    instance game, for every k at once (entry k - 1), from prefix sums.
+def _table_block(a, b, c, abar, bbar, rho_lo, rho_hi, x_a, x_b, radius) -> np.ndarray:
+    """Scores of CASE_2_2 rows of _prefix_table, from (rows, 1) columns of
+    v_aK, v_bK, c_K, v_aKbar, v_bKbar and of the least and largest ratio
+    in K; radius is the final truncation radius."""
+    xb_bbar, xs = x_b * bbar, x_a + x_b
+    B1 = x_a * b * b - 2 * xb_bbar * b
+    B2 = 4 * xb_bbar * a - 2 * x_a * a * b
+    B3 = x_a * a * a - 2 * xb_bbar * c
+    # phi2 = f2 alpha^2 + f1 alpha + f0: B4, B5 and B6
+    f0 = x_a * x_a * a * a - 4 * xs * xb_bbar * c
+    f1 = 8 * xs * xb_bbar * a - 2 * x_a * x_a * a * b
+    f2 = x_a * x_a * b * b - 4 * xs * xb_bbar * b
+    # u_hat's stationary points: roots of s2 alpha^2 + s1 alpha + s0, the
+    # square of A sqrt(phi2) = b0 + b1 alpha, taken in the stable form
+    A = 2 * x_a * (b * c - a * a)
+    b0, b1 = -2 * a * f0 - c * f1, -a * f1 - 2 * c * f2
+    s0, s1, s2 = A * A * f0 - b0 * b0, A * A * f1 - 2 * b0 * b1, A * A * f2 - b1 * b1
+    t = -(s1 + np.copysign(np.sqrt(np.maximum(s1 * s1 - 4 * s2 * s0, 0.0)), s1)) / 2
+    # phi2's roots as _phi2_nonneg_intervals finds them, feasible on that
+    # count whatever rounding makes phi2 there
+    disc = f1 * f1 - 4 * f2 * f0
+    sq = np.sqrt(np.where(disc > 0, disc, np.nan))
+    at_root = np.arange(9) < 3
+    inset = 1e-12 * np.maximum(1.0, np.maximum(abs(rho_lo), abs(rho_hi)))
+    lo_end, hi_end = rho_lo - inset, rho_hi + inset
+    alpha = np.hstack(
+        [
+            (-f1 - sq) / (2 * f2),
+            (-f1 + sq) / (2 * f2),
+            np.where(f2 == 0, -f0 / f1, np.nan),
+            t / s2,
+            s0 / t,
+            lo_end,
+            hi_end,
+            np.full((len(a), 2), [-radius, radius]),
+        ]
+    )
+    # y, den and u_hat as solve_case2_partial_support has them, and q as
+    # _draft has it: (sum_K v_bj |rho_j - alpha|)^2 max_K (rho_j - alpha)^2 / den^2
+    phi = (f2 * alpha + f1) * alpha + f0
+    L = a - b * alpha
+    y = ((B1 * alpha + B2) * alpha + B3 - L * np.sqrt(np.maximum(phi, 0.0))) / (2 * x_b * xb_bbar)
+    den = y * x_b + (c - 2 * alpha * a + alpha * alpha * b)
+    U = abar + (c - alpha * a) * L / den
+    q = (L / den) ** 2 * np.maximum(rho_hi - alpha, alpha - rho_lo) ** 2
+    feasible = (
+        ((alpha <= lo_end) | (alpha >= hi_end))
+        & (abs(alpha) <= radius)
+        & ((phi >= 0) | at_root)
+        & (y > 0)
+        & (den > 0)
+    )
+    score = np.where(feasible & (q < 1 + _TABLE_RTOL), U, -np.inf).max(axis=1)
+    unknown = (feasible & ~np.isfinite(U * q)).any(axis=1)
+    unknown |= ~np.isfinite(s0 + s1 + s2 + B1 + B2 + B3 + abar)[:, 0]
+    score[unknown] = np.inf
+    return score
 
-    With X = sum_K x_aj, the water filling on K gives the leader S * W /
-    (X + x_b) there, where S = sum_K sqrt(x_aj v_bj) and W = sum_K v_aj
-    sqrt(x_aj / v_bj), and the leader gets at most v_aKbar outside K.  Two
-    facts about the spend on K meet in c = S^2 / (v_bK X), which lies in
-    [0, 1] (Cauchy-Schwarz on S):
 
-    * Splitting sqrt(x_a) on K along (sqrt(v_bj)) and its orthogonal
-      complement gives S * W <= X h(c), with h(c) = v_aK c + sqrt(c (1 -
-      c)) sqrt(c_K v_bK - v_aK^2).  h is concave, with its peak (v_aK +
-      sqrt(c_K v_bK)) / 2 at c_h = (1 + v_aK / sqrt(c_K v_bK)) / 2.
-    * Parking each battlefield outside K at or above its threshold costs
-      v_bKbar (X + x_b)^2 / S^2, so X + that cost <= x_a reads c v_bK X
-      (x_a - X) >= v_bKbar (X + x_b)^2.  X is at most the larger root X(c)
-      of that quadratic, which grows with c, and so does g(c) = X(c) /
-      (X(c) + x_b).
+def _edge_scores(va, vb, x_a, x_b) -> tuple[float, float]:
+    """Scores of the k = 1 (CASE_1) and k = n (CASE_2_1) rows of
+    _prefix_table from the closed forms of solve_case1 and
+    solve_case2_full_support, nan where their numbers are not finite.
+    x_a and x_b are numpy floats, so nothing raises."""
+    v_a1, v_b1 = float(va[0]), float(vb[0])
+    v_aKbar, v_bKbar = float(va[1:].sum()), float(vb[1:].sum())
+    x_aK = x_a
+    if v_bKbar != 0.0:
+        disc = x_a**2 * v_b1**2 - 4 * x_a * x_b * v_b1 * v_bKbar - 4 * x_b**2 * v_b1 * v_bKbar
+        x_aK = 0.0 if disc < 0 else (x_a * v_b1 - 2 * x_b * v_bKbar + np.sqrt(disc)) / (2 * (v_bKbar + v_b1))
+    # the k = 1 margin, (x_aK / (x_b + x_aK))^2, is below 1
+    first = -math.inf if x_aK <= 0 or x_aK > x_a else v_aKbar + x_aK * v_a1 / (x_b + x_aK)
+    if len(va) == 1:
+        return first, first
+    rho = va / vb
+    c_K, v_aK, v_bK = (va * rho).sum(), va.sum(), vb.sum()
+    alpha = -np.sqrt(c_K / v_bK)
+    L = v_aK - alpha * v_bK
+    den = (c_K - 2 * alpha * v_aK + alpha * alpha * v_bK) * (x_a + x_b) / x_a
+    q = (L / den) ** 2 * (rho.max() - alpha) ** 2
+    if math.isnan(q):
+        return first, math.nan
+    return first, -math.inf if q >= 1 + _TABLE_RTOL else (c_K - alpha * v_aK) * L / den
 
-    So U(k) <= v_aKbar + max_c g(c) h(c).  Below c_h both factors grow, so
-    the maximum lies in [c_h, 1], where h falls.  On the _BOUND_CELLS equal
-    cells c_h = c_0 < ... < c_m = 1, g(c) h(c) <= g(c_i+1) h(c_i) on cell
-    [c_i, c_i+1], and the bound is v_aKbar plus the largest of these terms.  One cell gives
-    g(1) (v_aK + sqrt(c_K v_bK)) / 2, which maximises the two factors
-    apart; more cells never raise it.  At k = 1, h(c) = v_aK c and c_h = 1,
-    so the bound is the CASE_1 utility; at k = n, v_bKbar = 0 and g(c) =
-    x_a / (x_a + x_b) at every c.
 
-    The quadratic is solved in t = X / x_b with its coefficients divided by
-    x_b^2 v_bK[-1]: (c p + q) t^2 + (2 q - c p x_a / x_b) t + q <= 0, with p
-    = v_bK / v_bK[-1] and q = v_bKbar / v_bK[-1].  sqrt(c_K v_bK) is a
-    running hypot, and sqrt(c_K v_bK - v_aK^2) is 2 sqrt(c_K v_bK) sqrt(d (1
-    - d)) with d = 1 - c_h, so only values or budgets near the float range
-    overflow.  Only a discriminant below minus a rounding allowance makes
-    g(c) 0 (no X is affordable at that c), or the bound -inf at c = 1 (no
-    allocation has that reply support), and every root is inflated by the
-    same allowance.  A bound that overflows to nan is +inf.  The first
-    cell's term takes h's peak exactly, so it covers every c up to c_1
-    whatever c_h rounds to, and c_m is exactly 1, so the cells leave no
-    gap.  Every other float step moves a term by a few units of relative
-    rounding (1 - c is formed first, so h near c = 1 keeps its digits):
-    about 1e-15, far below the TIE_RTOL by which optimal_commitment's
-    stopping rule already lets a bound fall short of a utility.  The
-    (prefix, cell) grid is evaluated _BOUND_BLOCK_ROWS prefixes at a time,
-    so the working memory is O(n).
+def _prefix_table(game: GameInstance) -> np.ndarray:
+    """Score of every support prefix of canonical quotient game (entry k -
+    1): the best leader utility its candidates reach with margin q below
+    1 + _TABLE_RTOL; -inf when none does, inf when its numbers are not
+    finite.
+
+    Values and budgets are first divided by powers of two near their
+    largest entries, which is exact and leaves alpha and q alone, so only
+    a game whose own values span the float range overflows.  The CASE_2_2
+    rows go to _table_block _TABLE_BLOCK_ROWS at a time, so the working
+    memory is O(n).
     """
-    va, vb = game.values_a, game.values_b
-    n = len(va)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_aK, v_bK = np.cumsum(va), np.cumsum(vb)
-        v_aKbar, v_bKbar = (np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
-        ratio = np.float64(game.budget_a) / game.budget_b
-        p, q = v_bK / v_bK[-1], v_bKbar / v_bK[-1]
-        root_cv = np.hypot.accumulate(va / np.sqrt(vb)) * np.sqrt(v_bK)  # sqrt(c_K v_bK)
-        d = np.maximum((1 - v_aK / root_cv) / 2, 0.0)  # 1 - c_h
-        peak = (root_cv + v_aK) / 2  # h(c_h), the largest h
-        ortho = 2 * root_cv * np.sqrt(d * (1 - d))  # sqrt(c_K v_bK - v_aK^2)
-        best, dead = np.empty(n), np.empty(n, dtype=bool)
-        for lo in range(0, n, _BOUND_BLOCK_ROWS):
-            rows = slice(lo, lo + _BOUND_BLOCK_ROWS)
-            e = d[rows, None] * _BOUND_ENDS  # 1 - c; c_m = 1 exactly
-            c = 1 - e
-            h = v_aK[rows, None] * c[:, :-1] + ortho[rows, None] * np.sqrt(c[:, :-1] * e[:, :-1])
-            h[:, 0] = peak[rows]
-            cp, q_rows = c[:, 1:] * p[rows, None], q[rows, None]
-            a, b = cp + q_rows, 2 * q_rows - ratio * cp
-            bb, four_aq = b * b, 4 * a * q_rows
-            disc, slack = bb - four_aq, 64 * np.finfo(float).eps * (bb + four_aq)
-            t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
-            out = disc < -slack  # no X is affordable at that c
-            t[out] = 0.0
-            best[rows] = (t / (t + 1) * h).max(axis=1)
-            dead[rows] = out[:, -1]
-        bound = v_aKbar + best
-        bound[dead] = -np.inf
-    bound[np.isnan(bound)] = np.inf
-    return bound
+    scale = math.ldexp(1.0, math.frexp(float(max(game.values_a.max(), game.values_b.max())))[1])
+    x_scale = math.ldexp(1.0, math.frexp(max(game.budget_a, game.budget_b))[1])
+    va, vb = game.values_a / scale, game.values_b / scale
+    x_a, x_b = np.float64(game.budget_a / x_scale), np.float64(game.budget_b / x_scale)
+    n = game.n
+    scores = np.empty(n)
+    with np.errstate(all="ignore"):
+        scores[0], scores[-1] = _edge_scores(va, vb, x_a, x_b)
+        if n > 2:
+            rho = game.values_a / game.values_b
+            radius = TRUNCATION_FACTOR * float(rho.max()) * TRUNCATION_GROWTH**TRUNCATION_EXTENSIONS
+            rho_lo, rho_hi = np.minimum.accumulate(rho), np.maximum.accumulate(rho)
+            sums = (np.cumsum(va), np.cumsum(vb), np.cumsum(va * (va / vb)))
+            sums += tuple(np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))  # over Kbar
+            for lo in range(1, n - 1, _TABLE_BLOCK_ROWS):
+                rows = slice(lo, min(lo + _TABLE_BLOCK_ROWS, n - 1))
+                columns = (col[rows, None] for col in (*sums, rho_lo, rho_hi))
+                scores[rows] = _table_block(*columns, x_a, x_b, radius)
+    scores[np.isnan(scores)] = np.inf
+    return scores * scale
 
 
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
@@ -737,37 +781,52 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     support.  The winner is spread over each class and mapped back to the
     caller's battlefield order.
 
-    The work is taken from one queue in descending order of a key, and
-    the search stops at the first key below top * keep, with keep = 1 - (n
-    + 2) * TIE_RTOL and top the best valid utility so far (n prefixes).  A
-    prefix waits there to be solved under its _prefix_bounds bound, and
-    its draft waits for its round trip under its score.  The valid
-    candidates are then folded in ascending k, as if every prefix had been
-    solved and round-tripped, and the result is the same bit for bit.  The
-    fold replaces its best whenever a candidate is at most TIE_RTOL *
-    max(|u|, |best|) below it, so it always takes the (first) maximum
-    u_max, and after it each replacement lowers the best by at most
-    TIE_RTOL * u_max: it stays above u_max * (1 - (n - 1) * TIE_RTOL).
-    * A prefix left unsolved has u <= bound * (1 + TIE_RTOL) < u_max * (1
-      - (n + 1) * TIE_RTOL) (utilities are not negative), so the fold would
+    _prefix_table scores every prefix: the best leader utility among its
+    candidate alphas whose margin q is below 1 + _TABLE_RTOL (the module
+    docstring lists the candidates).  Prefixes are solved in descending
+    order of score, and the search stops at the first score below top *
+    keep, with top the best valid utility so far and keep = 1 - 2 *
+    _TABLE_RTOL - (n + 2) * TIE_RTOL (n prefixes).  A solved draft's score
+    must match its row's to _TABLE_RTOL.  Otherwise, or when the solver
+    gives no draft for a row with a finite score, the table and the solver
+    disagree on this game, and the reference enumeration (_prefix_candidate
+    for every k) replaces the search; so it does when no solved prefix is
+    valid.  The valid candidates are folded in ascending k, as if every
+    prefix had been solved and round-tripped, and the result is the same
+    bit for bit.  The fold replaces its best whenever a candidate is at
+    most TIE_RTOL * max(|u|, |best|) below it, so it always takes the
+    (first) maximum u_max, and after it each replacement lowers the best
+    by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n - 1) *
+    TIE_RTOL).  A prefix left unsolved cannot change the fold:
+    * Its solver maximizes u_hat over the feasible set whose maximum the
+      table's candidates contain.  So the draft sits at the row's best
+      candidate, with a score within _TABLE_RTOL of the row's (the check
+      that every solved prefix passes), or at a higher one whose margin is
+      at least 1 + _TABLE_RTOL, where K is not the reply support and the
+      draft is never valid.
+    * A valid round trip gives the score to within TIE_RTOL * u (the score
+      is u in exact arithmetic), so u <= s * (1 + _TABLE_RTOL) * (1 +
+      TIE_RTOL) for a row score s < top * keep, which is below u_max * (1
+      - (n + 1) * TIE_RTOL) (utilities are not negative).  The fold would
       never have taken it after u_max, and what it took before u_max does
       not matter.
-    * A draft left without its round trip has a finite score below top *
-      keep.  A valid round trip gives the score to within TIE_RTOL * u
-      (the score is u in exact arithmetic), so u <= score * (1 + TIE_RTOL)
-      < u_max * (1 - (n + 1) * TIE_RTOL), and the same argument holds.
-    * A draft whose margin is finite and above 1 + TIE_RTOL never enters
-      the queue.  A member of K then gets a negative fill at K's water
-      level, so K is not the reply support, and the round trip, whose level
-      matches the margin's to far better than TIE_RTOL, would drop it.
-    When no candidate is valid, SolverInvariantError lists every prefix's
-    outcome, which _prefix_candidate rebuilds for k = 1..n; a note names
+    * A draft whose margin is finite and above 1 + TIE_RTOL is not
+      round-tripped.  A member of K then gets a negative fill at K's water
+      level, so K is not the reply support, and the round trip, whose
+      level matches the margin's to far better than TIE_RTOL, would drop
+      it.
+    The first point assumes that the solver finds the maximum of u_hat,
+    which its scan can miss where K's ratios span many decades.  The check
+    on every solved prefix guards the band; the reference enumeration and
+    the table agree on every prefix of the test corpora (TestPrefixBounds).
+    A row whose numbers are not finite scores inf: it is always solved and
+    never checked.  When no candidate is valid, SolverInvariantError lists
+    every prefix's outcome from the reference enumeration; a note names
     canonical positions, K=[0..end-1], where end is where the prefix's
-    last class ends.  That path solves every prefix twice: with top still
-    -inf the queue has already solved every prefix before it.  The raised
-    error holds its message, not the solve's arrays: it is raised from a
-    frame that never held the canonical instance, the quotient, the bounds
-    or a draft, so a caller that keeps the error keeps only the message.
+    last class ends.  The raised error holds its message, not the solve's
+    arrays: it is raised from a frame that never held the canonical
+    instance, the quotient, the table or a draft, so a caller that keeps
+    the error keeps only the message.
     """
     outcome = _commitment(instance)
     if isinstance(outcome, str):
@@ -782,37 +841,12 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     quotient = ratio_quotient(canon)
     game = quotient.game
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
-    bounds = _prefix_bounds(game)
-    keep = 1 - (game.n + 2) * TIE_RTOL
-    # One queue, highest key first: a prefix waits to be solved under its
-    # bound, and a solved prefix's draft waits for its round trip under its
-    # score (a score that is not finite goes first).
-    queue: list[tuple[float, int, CandidateDraft | None]] = [
-        (-bound, k, None) for k, bound in enumerate(bounds.tolist(), 1)
-    ]
-    heapq.heapify(queue)
-    valid: dict[int, CommitmentSolution] = {}
-    top = -math.inf
-    while queue:
-        key, k, draft = heapq.heappop(queue)
-        if -key < top * keep:
-            break
-        if draft is None:
-            draft = _prefix_draft(game, k)[0]
-            # a finite margin above 1 + TIE_RTOL rules out reply support K
-            if draft is not None and not 1 + TIE_RTOL < draft.margin < math.inf:
-                score = draft.score if math.isfinite(draft.score) else math.inf
-                heapq.heappush(queue, (-score, k, draft))
-            continue
-        cand = _round_trip(game, k, draft)[0]
-        if cand is not None:
-            valid[k] = cand
-            top = max(top, cand.leader_utility)
+    valid = _table_search(game)
     if not valid:
-        notes = "; ".join(
-            f"K=[0..{ends[k - 1] - 1}]: {_prefix_candidate(game, k)[1]}" for k in range(1, game.n + 1)
-        )
-        return f"no valid commitment candidate; per-prefix outcomes: {notes}"
+        valid = _reference_enumeration(game)
+        if isinstance(valid, list):
+            notes = "; ".join(f"K=[0..{ends[k - 1] - 1}]: {reason}" for k, reason in enumerate(valid, 1))
+            return f"no valid commitment candidate; per-prefix outcomes: {notes}"
     best_k = min(valid)
     for k in sorted(valid):
         u, u_best = valid[k].leader_utility, valid[best_k].leader_utility
@@ -823,3 +857,36 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
     support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
     return replace(best, allocation=Allocation(amounts, instance.budget_a), support=support)
+
+
+def _table_search(game: GameInstance) -> dict[int, CommitmentSolution] | None:
+    """The valid candidates of the prefixes that _prefix_table puts in the
+    band, by k; None when the table and a solved draft disagree or no band
+    candidate is valid (optimal_commitment then enumerates every prefix)."""
+    scores = _prefix_table(game)
+    keep = 1 - 2 * _TABLE_RTOL - (game.n + 2) * TIE_RTOL
+    valid: dict[int, CommitmentSolution] = {}
+    top = -math.inf
+    for k in (np.argsort(-scores, kind="stable") + 1).tolist():
+        score = float(scores[k - 1])
+        if score == -math.inf or score < top * keep:
+            break
+        draft = _prefix_draft(game, k)[0]
+        if score != math.inf and (draft is None or not abs(draft.score - score) <= _TABLE_RTOL * score):
+            return None
+        # a finite margin above 1 + TIE_RTOL rules out reply support K
+        if draft is None or 1 + TIE_RTOL < draft.margin < math.inf:
+            continue
+        cand = _round_trip(game, k, draft)[0]
+        if cand is not None:
+            valid[k] = cand
+            top = max(top, cand.leader_utility)
+    return valid or None
+
+
+def _reference_enumeration(game: GameInstance) -> dict[int, CommitmentSolution] | list[str]:
+    """_prefix_candidate of every prefix: the valid candidates by k, or,
+    when there are none, every prefix's reason in ascending k."""
+    outcomes = [_prefix_candidate(game, k) for k in range(1, game.n + 1)]
+    valid = {k: cand for k, (cand, _) in enumerate(outcomes, 1) if cand is not None}
+    return valid or [reason for _, reason in outcomes]

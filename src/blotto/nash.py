@@ -59,6 +59,8 @@ MUTUAL_BR_RTOL = 1e-6
 # brentq's absolute root tolerance and iteration cap (scipy's defaults).
 BRENT_XTOL = 2e-12
 BRENT_MAXITER = 100
+# Roots that the "no root ... reconstructs" error lists (it counts the rest).
+_ROOTS_IN_MESSAGE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +318,9 @@ def _solve(instance: GameInstance) -> NashSolution | str:
         except InputError:  # not a valid, strictly positive allocation pair
             continue
     if not candidates:
-        return f"no root of f reconstructs a mutual best response; roots={roots}"
+        listed = roots[:_ROOTS_IN_MESSAGE]
+        more = f" (the first {len(listed)} of {len(roots)})" if len(roots) > len(listed) else ""
+        return f"no root of f reconstructs a mutual best response; roots={listed}{more}"
 
     scored = [
         (total_utility(game, "a", aa, ab), mu, aa, ab)

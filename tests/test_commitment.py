@@ -32,8 +32,8 @@ from blotto.commitment import (
     TRUNCATION_GROWTH,
     CaseCoefficients,
     _golden_max,
-    _prefix_bounds,
     _prefix_candidate,
+    _prefix_table,
     solve_case1,
     solve_case2_full_support,
     solve_case2_partial_support,
@@ -545,8 +545,8 @@ class TestTruncationPasses:
         assert pass_entry(seed) == PASS_DIGESTS[seed]
 
     def test_golden_section_runs_once_per_candidate(self, monkeypatch):
-        # Only the pass that ends the loop is refined.  Seed 6 has three
-        # candidates, each of which takes all four passes.
+        # Only the pass that ends the loop is refined: a call that returns a
+        # candidate runs one golden-section search, and any other runs none.
         runs = []  # [golden-section runs, returned a candidate] per call
         real_golden = commitment._golden_max
         real_solve = commitment.solve_case2_partial_support
@@ -565,7 +565,7 @@ class TestTruncationPasses:
         monkeypatch.setattr(commitment, "solve_case2_partial_support", solve)
         sol = optimal_commitment(log_uniform_instance(6))
         assert _digest(sol) == PASS_DIGESTS[6][2]
-        assert sum(ok for _, ok in runs) == 3
+        assert any(ok for _, ok in runs)
         assert [count for count, _ in runs] == [int(ok) for _, ok in runs]
 
     @pytest.mark.parametrize("exponent, seed, k", sorted(FALLBACK_PASSES))
@@ -670,8 +670,8 @@ class TestPrefixRange:
     enumeration of the prefix candidates: the valid prefixes are contiguous
     and the largest one wins.  Both hold on this 120-instance corpus only;
     PREFIX_COUNTEREXAMPLES break each of them.  optimal_commitment's
-    pruning by _prefix_bounds rests on neither: it skips a prefix only when
-    its utility bound shows that it cannot win (TestPrefixBounds)."""
+    prefix table rests on neither: it skips a prefix only when the prefix's
+    row shows that it cannot win (TestPrefixBounds)."""
 
     @pytest.mark.parametrize("kind", ["gen", "log-uniform"])
     def test_valid_prefixes_are_contiguous_and_the_largest_wins(self, kind):
@@ -702,8 +702,8 @@ def _quotient(inst):
 
 def _enumerated_commitment(instance):
     """optimal_commitment as a full enumeration: every prefix of the
-    quotient is solved and folded in ascending k, the search the bound
-    prunes.  Returns _outcome's tuple."""
+    quotient is solved and folded in ascending k, the search the prefix
+    table prunes.  Returns _outcome's tuple."""
     canon, ordering = canonical_ordering(instance)
     quotient = ratio_quotient(canon)
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
@@ -731,29 +731,11 @@ def _enumerated_commitment(instance):
     return sol.case_tag, len(sol.support), _digest(sol)
 
 
-def _one_cell_bounds(game):
-    """_prefix_bounds with one cell: g(1) times h's peak, which maximises
-    the spend share and the S * W factor apart (the bound of 784e310)."""
-    va, vb = game.values_a, game.values_b
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_aK, v_bK = np.cumsum(va), np.cumsum(vb)
-        v_aKbar, v_bKbar = (np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
-        ratio = np.float64(game.budget_a) / game.budget_b
-        p, q = v_bK / v_bK[-1], v_bKbar / v_bK[-1]
-        a, b = p + q, 2 * q - ratio * p
-        disc, slack = b * b - 4 * a * q, 64 * np.finfo(float).eps * (b * b + 4 * a * q)
-        t = np.clip((np.sqrt(np.maximum(disc, 0.0) + slack) - b) / (2 * a), 0.0, ratio)
-        root_cv = np.hypot.accumulate(va / np.sqrt(vb)) * np.sqrt(v_bK)
-        bound = v_aKbar + t / (t + 1) * (root_cv + v_aK) / 2
-        bound[disc < -slack] = -np.inf
-    bound[np.isnan(bound)] = np.inf
-    return bound
-
-
 class TestPrefixBounds:
-    """_prefix_bounds bounds every valid prefix candidate, and
-    optimal_commitment, which skips the prefixes it rules out, returns
-    what solving every prefix returns."""
+    """_prefix_table's row scores bound every valid prefix candidate (they
+    score the maximum its solver finds), and optimal_commitment, which
+    solves only the prefixes in the table's band, returns what solving
+    every prefix returns."""
 
     @staticmethod
     def bound_corpus():
@@ -764,66 +746,42 @@ class TestPrefixBounds:
         for inst, _, _ in PREFIX_COUNTEREXAMPLES:
             yield inst
 
-    def test_every_valid_candidate_is_within_its_bound(self):
+    def test_every_valid_candidate_scores_its_row(self):
         checked = 0
         with np.errstate(all="ignore"):
             for inst in self.bound_corpus():
                 game = _quotient(inst)
-                bounds = _prefix_bounds(game)
+                scores = _prefix_table(game)
                 for k in range(1, game.n + 1):
                     cand = _prefix_candidate(game, k)[0]
                     if cand is not None:
-                        assert cand.leader_utility <= bounds[k - 1] * (1 + TIE_RTOL), (inst, k)
+                        u, score = cand.leader_utility, scores[k - 1]
+                        assert u <= score * (1 + TIE_RTOL), (inst, k)
+                        assert abs(u - score) <= 1e-9 * u, (inst, k)
                         checked += 1
         assert checked > 250
 
-    def test_bound_is_close_to_the_valid_utilities(self):
-        # Median bound / utility - 1 over the valid candidates: 2.9e-3 with
-        # one cell, 1.2e-4 with 32.
-        gaps = []
-        with np.errstate(all="ignore"):
-            for inst in self.bound_corpus():
-                game = _quotient(inst)
-                bounds = _prefix_bounds(game)
-                for k in range(1, game.n + 1):
-                    cand = _prefix_candidate(game, k)[0]
-                    if cand is not None:
-                        gaps.append(bounds[k - 1] / cand.leader_utility - 1)
-        assert len(gaps) > 250
-        assert np.median(gaps) < 5e-4
-
-    def test_cells_never_raise_the_one_cell_bound(self):
-        checked = 0
-        for inst in self.bound_corpus():
-            game = _quotient(inst)
-            bounds, one_cell = _prefix_bounds(game), _one_cell_bounds(game)
-            assert not np.isnan(bounds).any()
-            assert (bounds <= one_cell).all(), inst
-            assert np.array_equal(bounds == -np.inf, one_cell == -np.inf)
-            checked += game.n
-        assert checked > 1000
-
     def test_memory_is_linear_in_n(self):
-        # A whole (2^16, 32) float grid alone is 16 MiB.
+        # 6.4 MiB in blocks of 1024 prefixes; 60 MiB in one block.
         rng = np.random.default_rng(0)
         n = 2**16
         game = GameInstance(2.0, 1.0, rng.uniform(1, 10, n), rng.uniform(1, 10, n))
         tracemalloc.start()
         try:
-            _prefix_bounds(game)
+            _prefix_table(game)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_bound_is_the_case1_utility_at_k1(self):
+    def test_k1_row_is_the_case1_utility(self):
         checked = 0
         tied = [tied_instance(8, seed, 20.0) for seed in range(20)]
         for inst in [*_prefix_corpus("gen"), *_prefix_corpus("log-uniform"), *tied]:
             game = _quotient(inst)
             cand = _prefix_candidate(game, 1)[0]
             if cand is not None:
-                assert _prefix_bounds(game)[0] == pytest.approx(cand.leader_utility, rel=1e-12)
+                assert _prefix_table(game)[0] == pytest.approx(cand.leader_utility, rel=1e-12)
                 checked += 1
         assert checked > 30
 
@@ -867,21 +825,17 @@ class TestPrefixBounds:
         monkeypatch.undo()
         return solved, len(trips)
 
-    def test_gen_32_solves_fewer_than_n_prefixes(self, monkeypatch):
-        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_gen_solves_at_most_two_partial_support_prefixes(self, monkeypatch, n):
+        # blotto gen --n 32 / 128 --seed 0: the band holds the winner and at
+        # most one other CASE_2_2 prefix, and the table never sends the
+        # search to the reference enumeration.
+        calls = self.count_prefix_candidates(monkeypatch)
+        inst = random_instance(np.random.default_rng(0), n)
         solved, _ = self.count_calls(monkeypatch, inst)
-        assert len(set(solved)) == len(solved) < inst.n
-
-    def test_gen_128_solves_at_most_45_prefixes(self, monkeypatch):
-        # 54 with one cell, 40 with 32.
-        inst = random_instance(np.random.default_rng(0), 128)  # blotto gen --n 128 --seed 0
-        solved, _ = self.count_calls(monkeypatch, inst)
-        assert len(set(solved)) == len(solved) <= 45
-
-    def test_gen_32_round_trips_fewer_prefixes_than_it_solves(self, monkeypatch):
-        inst = random_instance(np.random.default_rng(0), 32)  # blotto gen --n 32 --seed 0
-        solved, trips = self.count_calls(monkeypatch, inst)
-        assert 0 < trips < len(solved)
+        assert len(solved) == len(set(solved)) <= 2
+        assert all(1 < k < n for k in solved)
+        assert calls == []
 
     @staticmethod
     def count_prefix_candidates(monkeypatch):
@@ -905,10 +859,15 @@ class TestPrefixBounds:
         )
         assert calls == [1, 2, 3]
 
-    def test_gen_32_never_calls_the_reference_enumeration(self, monkeypatch):
+    def test_a_draft_that_strays_from_its_row_falls_back(self, monkeypatch):
+        # Rows raised by 1e-5: the first solved draft misses its row by more
+        # than _TABLE_RTOL, so every prefix goes to the reference enumeration.
+        inst = random_instance(np.random.default_rng(0), 8)  # blotto gen --n 8 --seed 0
+        want = _outcome(inst)
+        monkeypatch.setattr(commitment, "_prefix_table", lambda game: _prefix_table(game) * (1 + 1e-5))
         calls = self.count_prefix_candidates(monkeypatch)
-        optimal_commitment(random_instance(np.random.default_rng(0), 32))  # blotto gen --n 32 --seed 0
-        assert calls == []
+        assert _outcome(inst) == want
+        assert calls == list(range(1, inst.n + 1))
 
     @staticmethod
     @functools.cache
@@ -949,25 +908,30 @@ class TestPrefixBounds:
             assert abs(draft.score - cand.leader_utility) <= TIE_RTOL * cand.leader_utility
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1])
-    def test_near_zero_case1_discriminant_gives_a_finite_bound(self, nudge):
+    def test_near_zero_case1_discriminant_row_follows_solve_case1(self, nudge):
         # x_a at the larger root of the k = 1 discriminant in x_a, give or
         # take one float step: the discriminant is zero up to rounding.
         va, vb, x_b = np.array([1.0, 3.0, 2.0]), np.array([2.0, 1.5, 0.5]), 1.3
         v_bK, v_bKbar = vb[0], vb[1:].sum()
         x_a = 2 * x_b * (v_bKbar + math.sqrt(v_bKbar**2 + v_bK * v_bKbar)) / v_bK
         x_a = float(np.nextafter(x_a, x_a + nudge)) if nudge else x_a
-        bounds = _prefix_bounds(_quotient(GameInstance(x_a, x_b, va, vb)))
-        assert np.isfinite(bounds[0])
+        game = _quotient(GameInstance(x_a, x_b, va, vb))
+        draft, score = solve_case1(game, 1), _prefix_table(game)[0]
+        if draft is None:
+            assert score == -np.inf
+        else:
+            assert score == pytest.approx(draft.score, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e150, 1e200])
-    def test_extreme_scale_bound_is_never_nan_and_silent(self, scale):
+    def test_extreme_scale_table_is_never_nan_and_silent(self, scale):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             inst = _scaled(random_instance(rng, int(rng.integers(2, 33))), values=scale, budgets=scale)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                bounds = _prefix_bounds(_quotient(inst))
-            assert not np.isnan(bounds).any()
+                scores = _prefix_table(_quotient(inst))
+            assert not np.isnan(scores).any()
+            assert np.isfinite(scores).any()
 
 
 def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):

@@ -228,6 +228,18 @@ class TestSolverFailures:
             with pytest.raises(SolverInvariantError, match="no root of f reconstructs"):
                 solve_nash(inst)
 
+    def test_extreme_skew_error_lists_the_first_roots(self):
+        # The CI's extreme-skew instance: f underflows to 0 at every scan
+        # point, so all 4097 grid points are roots, and none reconstructs.
+        va, vb = np.array([1e20, 5e20]), np.array([1e-100, 0.5e-100])
+        inst = GameInstance(1.694050881103529, 1.0, va, vb)
+        with pytest.raises(SolverInvariantError) as info:
+            solve_nash(inst)
+        message = str(info.value)
+        assert len(message) < 2000
+        assert message.endswith(f"(the first 8 of {nash.SCAN_CELLS + 1})")
+        assert message.count(",") == 7
+
     def test_root_refinement_error_means_no_root_in_the_cell(self, monkeypatch):
         def nan_inside(*args, **kwargs):
             raise ValueError("The function value at x=1 is NaN; solver cannot continue.")

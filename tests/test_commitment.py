@@ -774,6 +774,32 @@ class TestPrefixBounds:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_leaves_the_table_unchanged(self, monkeypatch, rows):
+        # Rows are scored independently: blocks of one prefix, or of seven
+        # (which split most corpus games unevenly), give the one-block
+        # table bit for bit.
+        games = [_quotient(inst) for inst in self.bound_corpus()]
+        with np.errstate(all="ignore"):
+            want = [_prefix_table(game) for game in games]
+            monkeypatch.setattr(commitment, "_TABLE_BLOCK_ROWS", rows)
+            for game, scores in zip(games, want):
+                assert np.array_equal(_prefix_table(game), scores), game
+        assert max(game.n for game in games) > 2 + 2 * rows
+
+    @pytest.mark.parametrize(
+        "values, budgets", [(2.0**-300, 2.0**40), (2.0**300, 2.0**-40)], ids=["small-values", "large-values"]
+    )
+    def test_power_of_two_scaling_scales_the_table_exactly(self, values, budgets):
+        # The table divides values and budgets by powers of two before it
+        # scores, so scaling a game by powers of two scales every row by
+        # the value factor, bit for bit, inf and -inf rows included.
+        for inst in self.bound_corpus():
+            scaled = _scaled(inst, values=values, budgets=budgets)
+            with np.errstate(all="ignore"):
+                want = _prefix_table(_quotient(inst)) * values
+                assert np.array_equal(_prefix_table(_quotient(scaled)), want), inst
+
     def test_k1_row_is_the_case1_utility(self):
         checked = 0
         tied = [tied_instance(8, seed, 20.0) for seed in range(20)]

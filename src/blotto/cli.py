@@ -237,6 +237,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise InputError(f"gen requires --n >= 1, got {args.n}")
+    if args.seed < 0:
+        raise InputError(f"gen requires --seed >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     payload = {
         "budget_a": float(rng.uniform(GEN_LOW, GEN_HIGH)),

@@ -45,8 +45,8 @@ CommitmentSolution in the quotient's frame, through one round trip through
 best_response, which alone decides the candidate's follower support and
 utilities.  It drops, with a note, a draft whose support is not K or whose
 numbers break down at extreme scales (a float overflow, or a spend that is
-not a valid allocation).  _prefix_candidate is _round_trip of prefix k's
-draft, the reference enumeration.
+not a valid allocation).  _prefix_candidate, _round_trip of prefix k's
+draft, is the tests' reference enumeration.
 
 optimal_commitment does not solve every prefix.  _prefix_table scores
 every prefix at once, in one array pass over the quotient's prefix sums.
@@ -64,16 +64,16 @@ row's score is the best score among its candidates with margin below 1 +
 _TABLE_RTOL.  The k = 1 and k = n rows are the CASE_1 and CASE_2_1 closed
 forms.  The prefixes are then solved by the case solvers, in descending
 order of score, only while the score stays in a band below the best
-valid utility so far; each solved draft is checked against its row and
-round-tripped, and the valid candidates are folded in ascending k with
-the tie rule below.  Nothing outside the band could have changed that
-fold, so the result is the one that solving and round-tripping every
+valid utility so far; each solved draft is round-tripped unless its
+margin rules K out, and the valid candidates are folded in ascending k
+with the tie rule below.  Nothing outside the band could have changed
+that fold, so the result is the one that solving and round-tripping every
 prefix gives, bit for bit (optimal_commitment's docstring has the
-argument).  When a solved draft strays from its row, or no band candidate
-is valid, optimal_commitment runs the reference enumeration instead, which
-also reports every prefix's outcome in SolverInvariantError when no
-candidate is valid.  The CASE_2_2 scan and golden-section search still
-give the commitment of each solved prefix.
+argument).  A solved draft that may be valid and beats its row shows
+that the table missed its maximum, and the search stops pruning.  With
+no valid candidate there is no band: every prefix is solved once, and
+SolverInvariantError reports each one's outcome.  The CASE_2_2 scan and
+golden-section search still give the commitment of each solved prefix.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ TRUNCATION_EXTENSIONS = 3
 # EXTREME_DIGESTS[(6, 0)], though on 0 of 1660 gen draws.
 TIE_RTOL = 1e-9
 # The prefix table's slack: the margin a kept candidate may reach above 1,
-# and how far a solved draft's score may stray from its row before
-# optimal_commitment falls back to the reference enumeration.  The band
-# below the best valid utility is twice this plus (n + 2) * TIE_RTOL.
+# and how far a solved draft that may be valid may score above its row
+# before optimal_commitment stops pruning.  The band below the best valid
+# utility is twice this plus (n + 2) * TIE_RTOL.
 _TABLE_RTOL = 1e-6
 _TABLE_BLOCK_ROWS = 1024  # prefixes whose candidates the table holds at a time
 
@@ -211,7 +211,8 @@ def threshold_allocation_outside_support(
     (sum_K sqrt(x_al * v_bl))^2; the optimal commitment meets this bound
     with equality.  Returns {j: x_aj} for every j not in K; K may be any
     index set in any order, not only a canonical prefix, and x_a_on_K[i] is
-    the spend on battlefield K[i].
+    the spend on battlefield K[i].  Raises InputError when a threshold is
+    not finite.
     """
     idx = [_check_index(instance, j) for j in K]
     if not idx:
@@ -224,9 +225,15 @@ def threshold_allocation_outside_support(
     if not np.isfinite(spend).all():
         raise InputError("x_a_on_K entries must be finite")
     vb = instance.values_b
-    scale = _threshold_scale(instance.budget_b, spend, vb[idx])
     out_idx = np.setdiff1d(np.arange(instance.n), idx)
-    return dict(zip(out_idx.tolist(), (vb[out_idx] * scale).tolist()))
+    with np.errstate(over="ignore"):
+        try:
+            thresholds = vb[out_idx] * _threshold_scale(instance.budget_b, spend, vb[idx])
+        except ArithmeticError:  # the float ** overflows, or the sum underflows to 0
+            thresholds = vb[out_idx] * math.inf
+    if not np.isfinite(thresholds).all():
+        raise InputError("thresholds outside K are not finite at this x_a_on_K")
+    return dict(zip(out_idx.tolist(), thresholds.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,8 +653,8 @@ def _prefix_candidate(
 ) -> tuple[CommitmentSolution | None, str | None]:
     """_round_trip of _prefix_draft: (candidate, None) for support prefix k
     of quotient, or (None, reason) when it is dropped, the reason saying
-    why.  The reference enumeration: optimal_commitment calls it for every
-    prefix, and only, when its table search falls back."""
+    why.  The tests' reference: called for every prefix, it is the
+    enumeration whose fold optimal_commitment reproduces."""
     draft, reason = _prefix_draft(quotient, k)
     return _round_trip(quotient, k, draft) if draft is not None else (None, reason)
 
@@ -786,12 +793,9 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     docstring lists the candidates).  Prefixes are solved in descending
     order of score, and the search stops at the first score below top *
     keep, with top the best valid utility so far and keep = 1 - 2 *
-    _TABLE_RTOL - (n + 2) * TIE_RTOL (n prefixes).  A solved draft's score
-    must match its row's to _TABLE_RTOL.  Otherwise, or when the solver
-    gives no draft for a row with a finite score, the table and the solver
-    disagree on this game, and the reference enumeration (_prefix_candidate
-    for every k) replaces the search; so it does when no solved prefix is
-    valid.  The valid candidates are folded in ascending k, as if every
+    _TABLE_RTOL - (n + 2) * TIE_RTOL (n prefixes).  While no candidate is
+    valid, top is -inf and no row stops the search, the -inf rows
+    included.  The valid candidates are folded in ascending k, as if every
     prefix had been solved and round-tripped, and the result is the same
     bit for bit.  The fold replaces its best whenever a candidate is at
     most TIE_RTOL * max(|u|, |best|) below it, so it always takes the
@@ -800,10 +804,9 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     TIE_RTOL).  A prefix left unsolved cannot change the fold:
     * Its solver maximizes u_hat over the feasible set whose maximum the
       table's candidates contain.  So the draft sits at the row's best
-      candidate, with a score within _TABLE_RTOL of the row's (the check
-      that every solved prefix passes), or at a higher one whose margin is
-      at least 1 + _TABLE_RTOL, where K is not the reply support and the
-      draft is never valid.
+      candidate, with a score within _TABLE_RTOL of the row's, or below
+      it, or at a higher one whose margin is at least 1 + _TABLE_RTOL,
+      where K is not the reply support and the draft is never valid.
     * A valid round trip gives the score to within TIE_RTOL * u (the score
       is u in exact arithmetic), so u <= s * (1 + _TABLE_RTOL) * (1 +
       TIE_RTOL) for a row score s < top * keep, which is below u_max * (1
@@ -815,18 +818,21 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
       level, so K is not the reply support, and the round trip, whose
       level matches the margin's to far better than TIE_RTOL, would drop
       it.
-    The first point assumes that the solver finds the maximum of u_hat,
-    which its scan can miss where K's ratios span many decades.  The check
-    on every solved prefix guards the band; the reference enumeration and
-    the table agree on every prefix of the test corpora (TestPrefixBounds).
+    The first point assumes that the table's candidates hold the maximum
+    of u_hat on the set the solver searches.  A solved draft with margin
+    below 1 + _TABLE_RTOL that scores above its row by more than
+    _TABLE_RTOL breaks that premise, and the search then stops pruning and
+    solves every prefix left.  This check fires on no prefix of the test
+    corpora, where the enumeration and the table agree (TestPrefixBounds).
     A row whose numbers are not finite scores inf: it is always solved and
     never checked.  When no candidate is valid, SolverInvariantError lists
-    every prefix's outcome from the reference enumeration; a note names
-    canonical positions, K=[0..end-1], where end is where the prefix's
-    last class ends.  The raised error holds its message, not the solve's
-    arrays: it is raised from a frame that never held the canonical
-    instance, the quotient, the table or a draft, so a caller that keeps
-    the error keeps only the message.
+    every prefix's outcome in ascending k: the solver's reason or the round
+    trip's (a draft that its margin skipped is round-tripped for its note);
+    a note names canonical positions, K=[0..end-1], where end is where the
+    prefix's last class ends.  The raised error holds its message, not the
+    solve's arrays: it is raised from a frame that never held the
+    canonical instance, the quotient, the table or a draft, so a caller
+    that keeps the error keeps only the message.
     """
     outcome = _commitment(instance)
     if isinstance(outcome, str):
@@ -841,12 +847,35 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     quotient = ratio_quotient(canon)
     game = quotient.game
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
-    valid = _table_search(game)
-    if not valid:
-        valid = _reference_enumeration(game)
-        if isinstance(valid, list):
-            notes = "; ".join(f"K=[0..{ends[k - 1] - 1}]: {reason}" for k, reason in enumerate(valid, 1))
-            return f"no valid commitment candidate; per-prefix outcomes: {notes}"
+    scores = _prefix_table(game)
+    keep = 1 - 2 * _TABLE_RTOL - (game.n + 2) * TIE_RTOL
+    valid: dict[int, CommitmentSolution] = {}
+    # why prefix k gives no candidate: a reason, or the draft its margin
+    # skips, round-tripped only for the error message (None once valid)
+    dropped: dict[int, str | CandidateDraft | None] = {}
+    top, prune = -math.inf, True
+    for k in (np.argsort(-scores, kind="stable") + 1).tolist():
+        score = float(scores[k - 1])
+        if prune and score < top * keep:
+            break
+        draft, reason = _prefix_draft(game, k)
+        # a draft that may be valid beats its row: the table missed its maximum
+        if draft is not None and draft.margin < 1 + _TABLE_RTOL and draft.score > score * (1 + _TABLE_RTOL):
+            prune = False
+        # a finite margin above 1 + TIE_RTOL rules out reply support K
+        if draft is None or 1 + TIE_RTOL < draft.margin < math.inf:
+            dropped[k] = reason or draft
+            continue
+        cand, dropped[k] = _round_trip(game, k, draft)
+        if cand is not None:
+            valid[k] = cand
+            top = max(top, cand.leader_utility)
+    if not valid:  # top stayed -inf, so every prefix was solved
+        notes = "; ".join(
+            f"K=[0..{ends[k - 1] - 1}]: {why if isinstance(why, str) else _round_trip(game, k, why)[1]}"
+            for k, why in sorted(dropped.items())
+        )
+        return f"no valid commitment candidate; per-prefix outcomes: {notes}"
     best_k = min(valid)
     for k in sorted(valid):
         u, u_best = valid[k].leader_utility, valid[best_k].leader_utility
@@ -857,36 +886,3 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
     support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
     return replace(best, allocation=Allocation(amounts, instance.budget_a), support=support)
-
-
-def _table_search(game: GameInstance) -> dict[int, CommitmentSolution] | None:
-    """The valid candidates of the prefixes that _prefix_table puts in the
-    band, by k; None when the table and a solved draft disagree or no band
-    candidate is valid (optimal_commitment then enumerates every prefix)."""
-    scores = _prefix_table(game)
-    keep = 1 - 2 * _TABLE_RTOL - (game.n + 2) * TIE_RTOL
-    valid: dict[int, CommitmentSolution] = {}
-    top = -math.inf
-    for k in (np.argsort(-scores, kind="stable") + 1).tolist():
-        score = float(scores[k - 1])
-        if score == -math.inf or score < top * keep:
-            break
-        draft = _prefix_draft(game, k)[0]
-        if score != math.inf and (draft is None or not abs(draft.score - score) <= _TABLE_RTOL * score):
-            return None
-        # a finite margin above 1 + TIE_RTOL rules out reply support K
-        if draft is None or 1 + TIE_RTOL < draft.margin < math.inf:
-            continue
-        cand = _round_trip(game, k, draft)[0]
-        if cand is not None:
-            valid[k] = cand
-            top = max(top, cand.leader_utility)
-    return valid or None
-
-
-def _reference_enumeration(game: GameInstance) -> dict[int, CommitmentSolution] | list[str]:
-    """_prefix_candidate of every prefix: the valid candidates by k, or,
-    when there are none, every prefix's reason in ascending k."""
-    outcomes = [_prefix_candidate(game, k) for k in range(1, game.n + 1)]
-    valid = {k: cand for k, (cand, _) in enumerate(outcomes, 1) if cand is not None}
-    return valid or [reason for _, reason in outcomes]

@@ -90,6 +90,11 @@ class TestGen:
         assert main(["gen", "--n", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_rejects_a_negative_seed(self, capsys):
+        # numpy's default_rng raises ValueError on it; the CLI reports the flag
+        assert main(["gen", "--n", "3", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: gen requires --seed >= 0, got -1\n"
+
 
 class TestSolveBr:
     def test_requires_commit_a(self, tmp_path, capsys):

@@ -126,6 +126,18 @@ class TestThresholdAllocation:
         with pytest.raises(InputError, match=r"battlefield index 3 out of range \[0, 3\)"):
             threshold_allocation_outside_support(inst, [0, 3], [0.5, 0.3])
 
+    @pytest.mark.parametrize(
+        "values_b, spend",
+        [([1.0, 0.5], 1e308), ([1.0, 0.5], 1e-320), ([1.0, 1e300], 1e10)],
+        ids=["square-overflows", "quotient-is-inf", "product-overflows"],
+    )
+    def test_rejects_a_threshold_that_is_not_finite(self, values_b, spend):
+        inst = GameInstance(2.0, 1.0, np.array([1.0, 5.0]), np.array(values_b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="thresholds outside K are not finite"):
+                threshold_allocation_outside_support(inst, [0], [spend])
+
 
 class TestCaseCoefficients:
     def test_matches_direct_recomputation(self, rng):
@@ -827,11 +839,10 @@ class TestPrefixBounds:
                 assert _outcome(inst) == _enumerated_commitment(inst), inst
 
     @staticmethod
-    def count_calls(monkeypatch, inst):
-        """(prefixes solved, best-response round trips) of
-        optimal_commitment(inst), counted at the case solvers and at the
-        commitment module's best_response."""
-        solved, trips = [], []
+    def solves(inst):
+        """(_outcome(inst), the prefixes optimal_commitment solves, in call
+        order), counted at the case solvers."""
+        solved = []
 
         def counted(name, k_of):
             real = getattr(commitment, name)
@@ -840,60 +851,59 @@ class TestPrefixBounds:
                 solved.append(k_of(game, *args))
                 return real(game, *args)
 
-            monkeypatch.setattr(commitment, name, solver)
+            return solver
 
-        counted("solve_case1", lambda game, k: k)
-        counted("solve_case2_full_support", lambda game: game.n)
-        counted("solve_case2_partial_support", lambda game, k: k)
-        real_br = commitment.best_response
-        monkeypatch.setattr(commitment, "best_response", lambda *args: trips.append(1) or real_br(*args))
-        optimal_commitment(inst)
-        monkeypatch.undo()
-        return solved, len(trips)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for name, k_of in [
+                ("solve_case1", lambda game, k: k),
+                ("solve_case2_full_support", lambda game: game.n),
+                ("solve_case2_partial_support", lambda game, k: k),
+            ]:
+                monkeypatch.setattr(commitment, name, counted(name, k_of))
+            return _outcome(inst), solved
 
     @pytest.mark.parametrize("n", [32, 128])
-    def test_gen_solves_at_most_two_partial_support_prefixes(self, monkeypatch, n):
+    def test_gen_solves_at_most_two_partial_support_prefixes(self, n):
         # blotto gen --n 32 / 128 --seed 0: the band holds the winner and at
-        # most one other CASE_2_2 prefix, and the table never sends the
-        # search to the reference enumeration.
-        calls = self.count_prefix_candidates(monkeypatch)
-        inst = random_instance(np.random.default_rng(0), n)
-        solved, _ = self.count_calls(monkeypatch, inst)
+        # most one other CASE_2_2 prefix, each solved once.
+        solved = self.solves(random_instance(np.random.default_rng(0), n))[1]
         assert len(solved) == len(set(solved)) <= 2
         assert all(1 < k < n for k in solved)
-        assert calls == []
 
-    @staticmethod
-    def count_prefix_candidates(monkeypatch):
-        """The prefixes _prefix_candidate is called on, in call order."""
-        calls, real = [], commitment._prefix_candidate
-        monkeypatch.setattr(commitment, "_prefix_candidate", lambda game, k: calls.append(k) or real(game, k))
-        return calls
+    def test_log_uniform_draws_solve_each_prefix_at_most_once(self):
+        # 20 of these draws (seeds 0, 1, 5, 8, 12, ...) have a solved draft
+        # away from its row, or no valid candidate in the band.
+        with np.errstate(all="ignore"):
+            for seed in range(100):
+                solved = self.solves(log_uniform_instance(seed))[1]
+                assert len(solved) == len(set(solved)), seed
 
-    def test_no_valid_candidate_is_reported_by_the_reference_enumeration(self, monkeypatch):
-        # No prefix is valid at this budget ratio (ROADMAP item 11(ii));
-        # once item 10(b) mends that, move the test to a game that still
-        # fails.  The margin excludes the draft of K=[0..2] from the search,
-        # so only the enumeration gives its note.
+    def test_no_valid_candidate_is_reported_after_one_solve_per_prefix(self, monkeypatch):
+        # No prefix is valid at this budget ratio (ROADMAP item 11(ii)); once
+        # item 13 mends that, move the test to a game that still fails.  The
+        # margin skips the draft of K=[0..2], which is round-tripped only to
+        # give its note.
         inst = GameInstance(1e5, 1.0, np.array([2.77, 0.51, 0.26]), np.array([8.15, 9.14, 6.11]))
-        calls = self.count_prefix_candidates(monkeypatch)
+        calls, real = [], commitment._prefix_draft
+        monkeypatch.setattr(commitment, "_prefix_draft", lambda game, k: calls.append(k) or real(game, k))
         with pytest.raises(SolverInvariantError) as info:
             optimal_commitment(inst)
         assert str(info.value) == (
             "no valid commitment candidate; per-prefix outcomes: K=[0..0]: reply support "
             "[0, 2]; K=[0..1]: infeasible; K=[0..2]: reply support [0]"
         )
-        assert calls == [1, 2, 3]
+        assert sorted(calls) == [1, 2, 3]
 
-    def test_a_draft_that_strays_from_its_row_falls_back(self, monkeypatch):
-        # Rows raised by 1e-5: the first solved draft misses its row by more
-        # than _TABLE_RTOL, so every prefix goes to the reference enumeration.
+    def test_a_draft_above_its_row_stops_the_pruning(self, monkeypatch):
+        # Rows lowered by 1e-5: the first solved draft that may be valid
+        # scores above its row by more than _TABLE_RTOL, so the search solves
+        # every prefix left, each once, and returns the same outcome.
         inst = random_instance(np.random.default_rng(0), 8)  # blotto gen --n 8 --seed 0
         want = _outcome(inst)
-        monkeypatch.setattr(commitment, "_prefix_table", lambda game: _prefix_table(game) * (1 + 1e-5))
-        calls = self.count_prefix_candidates(monkeypatch)
-        assert _outcome(inst) == want
-        assert calls == list(range(1, inst.n + 1))
+        monkeypatch.setattr(commitment, "_prefix_table", lambda game: _prefix_table(game) * (1 - 1e-5))
+        outcome, solved = self.solves(inst)
+        assert outcome == want
+        assert sorted(solved) == list(range(1, inst.n + 1))
 
     @staticmethod
     @functools.cache

@@ -6,6 +6,16 @@ verify, gen.  Instances are single JSON objects ({"budget_a", "budget_b",
 solve-br), reports are JSON, sweeps are CSV.  Exit status 0 on success, 2
 on input errors, 3 on solver-invariant failures.  Identical inputs always
 produce byte-identical outputs.
+
+What loads when: this module loads what ``import blotto`` loads (the data
+model and the best response).  Every other solver it calls loads on the
+first access to its name here (see __getattr__), so each command compiles
+only the modules it runs: solve-commitment loads blotto.commitment,
+solve-nash blotto.nash, compare and sweep blotto.analysis (with commitment
+and nash), verify blotto.commitment and blotto.oracle, and solve-br and gen
+nothing more.  Commands look those solvers up on this module when they
+run, so a solver patched here, as a test or the benchmark tracer does, is
+the one called.
 """
 
 from __future__ import annotations
@@ -19,9 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import budget_sweep, compare_equilibria, write_sweep_csv
 from .best_response import best_response
-from .commitment import optimal_commitment
 from .game_core import (
     Allocation,
     GameInstance,
@@ -31,8 +39,28 @@ from .game_core import (
     instance_from_dict,
     total_utility,
 )
-from .nash import solve_nash
-from .oracle import GridSpec, oracle_best_response, oracle_commitment
+
+# Names from the solver modules that load on first use, and this module as
+# the commands see it (it is __main__ under ``python -m blotto.cli``).
+_LAZY = frozenset({
+    "GridSpec",
+    "budget_sweep",
+    "compare_equilibria",
+    "optimal_commitment",
+    "oracle_best_response",
+    "oracle_commitment",
+    "solve_nash",
+    "write_sweep_csv",
+})
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A solver, loaded through the package on the first access to its name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -130,19 +158,19 @@ def _cmd_solve_br(args: argparse.Namespace) -> int:
 
 def _cmd_solve_commitment(args: argparse.Namespace) -> int:
     instance, _ = _load_instance(args.instance)
-    _dump(_commitment_payload(optimal_commitment(instance)), args.out)
+    _dump(_commitment_payload(_cli.optimal_commitment(instance)), args.out)
     return EXIT_OK
 
 
 def _cmd_solve_nash(args: argparse.Namespace) -> int:
     instance, _ = _load_instance(args.instance)
-    _dump(_nash_payload(solve_nash(instance)), args.out)
+    _dump(_nash_payload(_cli.solve_nash(instance)), args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     instance, _ = _load_instance(args.instance)
-    report = compare_equilibria(instance)
+    report = _cli.compare_equilibria(instance)
     _dump(
         {
             "se": _commitment_payload(report.se),
@@ -168,19 +196,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"--steps must be >= 2, got {steps}")
     if r_max < r_min:
         raise InputError("--r-max must be >= --r-min")
-    rows = budget_sweep(instance, np.linspace(r_min, r_max, steps))
+    rows = _cli.budget_sweep(instance, np.linspace(r_min, r_max, steps))
     buffer = io.StringIO()
-    write_sweep_csv(rows, buffer)
+    _cli.write_sweep_csv(rows, buffer)
     _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    grid = GridSpec(resolution=args.resolution, refinement_rounds=args.refine)
+    grid = _cli.GridSpec(resolution=args.resolution, refinement_rounds=args.refine)
     instance, _ = _load_instance(args.instance)
     failures = []
 
-    se = optimal_commitment(instance)
+    se = _cli.optimal_commitment(instance)
     proportional = Allocation(
         instance.values_a / instance.values_a.sum() * instance.budget_a,
         instance.budget_a,
@@ -188,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for label, leader in (("commitment", se.allocation), ("proportional", proportional)):
         reply = best_response(instance, leader)
         closed = total_utility(instance, "b", leader, reply.allocation)
-        _, grid_utility = oracle_best_response(instance, leader, grid)
+        _, grid_utility = _cli.oracle_best_response(instance, leader, grid)
         if closed < grid_utility - VERIFY_SOUND_ATOL:
             failures.append(
                 f"best response at {label} point is beaten by the grid: "
@@ -200,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"from the grid optimum (tolerance {VERIFY_BR_ATOL})"
             )
 
-    _, oracle_u, oracle_support = oracle_commitment(instance, grid)
+    _, oracle_u, oracle_support = _cli.oracle_commitment(instance, grid)
     if se.leader_utility < oracle_u - VERIFY_COMMIT_ATOL:
         failures.append(
             f"commitment solver ({se.leader_utility!r}) is beaten by the "

@@ -750,14 +750,15 @@ def _prefix_table(game: GameInstance) -> np.ndarray:
     1 + _TABLE_RTOL; -inf when none does, inf when its numbers are not
     finite.
 
-    Values and budgets are first divided by powers of two near their
-    largest entries, which is exact and leaves alpha and q alone, so only
-    a game whose own values span the float range overflows.  The CASE_2_2
+    Values and budgets are first divided by the powers of two at or below
+    their largest entries (2**1023 at most, so the scale itself cannot
+    overflow), which is exact and leaves alpha and q alone, so only a game
+    whose own values span the float range overflows.  The CASE_2_2
     rows go to _table_block _TABLE_BLOCK_ROWS at a time, so the working
     memory is O(n).
     """
-    scale = math.ldexp(1.0, math.frexp(float(max(game.values_a.max(), game.values_b.max())))[1])
-    x_scale = math.ldexp(1.0, math.frexp(max(game.budget_a, game.budget_b))[1])
+    scale = math.ldexp(0.5, math.frexp(float(max(game.values_a.max(), game.values_b.max())))[1])
+    x_scale = math.ldexp(0.5, math.frexp(max(game.budget_a, game.budget_b))[1])
     va, vb = game.values_a / scale, game.values_b / scale
     x_a, x_b = np.float64(game.budget_a / x_scale), np.float64(game.budget_b / x_scale)
     n = game.n

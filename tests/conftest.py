@@ -1,17 +1,28 @@
 """Shared fixtures and instance generators for the test suite."""
 
 import gc
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blotto
 from blotto import Allocation, GameInstance, SolverInvariantError, check_coincidence
 
 # Same distribution the CLI `gen` subcommand uses, so property tests and
 # generated corpora exercise identical input ranges.
 VALUE_LOW = 0.1
 VALUE_HIGH = 10.0
+
+
+def fresh_process_env():
+    """os.environ with this checkout's blotto first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(blotto.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_instance(rng: np.random.Generator, n: int) -> GameInstance:

@@ -7,26 +7,24 @@ failure), outputs against the library functions they wrap.
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import blotto
-
 from blotto import (
     Allocation,
     GameInstance,
+    SolverInvariantError,
     best_response,
     compare_equilibria,
     optimal_commitment,
     solve_nash,
 )
 from blotto.cli import main
+from conftest import fresh_process_env
 
 CROSSING_RATIO = 1.694050881103528  # budget ratio where SE and NE coincide
 
@@ -43,14 +41,6 @@ def worked_example_json(tmp_path, r):
         f"worked_{r}.json",
         {"budget_a": r, "budget_b": 1.0, "values_a": [1.0, 5.0], "values_b": [1.0, 0.5]},
     )
-
-
-def fresh_process_env():
-    """os.environ with this checkout's blotto first on PYTHONPATH, for a
-    fresh interpreter."""
-    src = str(Path(blotto.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_to_file(tmp_path, name, argv):
@@ -159,6 +149,27 @@ class TestSolveCommitment:
         assert "solver invariant failure" in err
         assert "OverflowError" in err
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"budget_a": 1e308, "budget_b": 1e-308, "values_a": [1, 2], "values_b": [1, 2]},
+            {"budget_a": 1, "budget_b": 1, "values_a": [1e308, 1.5e308], "values_b": [1e308, 1.6e308]},
+        ],
+        ids=["budget-1e308", "values-1e308"],
+    )
+    def test_top_of_the_float_range_ends_without_a_traceback(self, tmp_path, instance):
+        # The prefix table's power-of-two prescale was 2**1024 here and
+        # raised a bare OverflowError: exit 1 with a traceback.
+        path = write_json(tmp_path, "top.json", instance)
+        result = subprocess.run(
+            [sys.executable, "-m", "blotto.cli", "solve-commitment", "--instance", path],
+            env=fresh_process_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode in (0, 3), result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_tiled_skew_exits_3_with_every_prefix(self, tmp_path, capsys):
         # The CI skew instance's two battlefields tiled to n = 2048.
@@ -443,6 +454,42 @@ class TestVerify:
             "solver support [0, 2] is not a prefix in canonical ratio "
             "order (positions [0, 2])"
         ) in failures
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(argv, name, id=f"{argv[0]}.{name}")
+        for argv, names in [
+            (["solve-br"], ["best_response"]),
+            (["solve-commitment"], ["optimal_commitment"]),
+            (["solve-nash"], ["solve_nash"]),
+            (["compare"], ["compare_equilibria"]),
+            (["sweep", "--r-min", "1", "--r-max", "2", "--steps", "2"],
+             ["budget_sweep", "write_sweep_csv"]),
+            (["verify", "--resolution", "50"],
+             ["GridSpec", "optimal_commitment", "best_response", "total_utility",
+              "oracle_best_response", "oracle_commitment", "canonical_ordering"]),
+        ]
+        for name in names
+    ],
+)
+def test_each_command_calls_the_solver_patched_on_the_cli_module(
+    tmp_path, monkeypatch, capsys, argv, name
+):
+    # Solvers load on first use, and each command looks its solvers up on
+    # blotto.cli when it runs, so a patch there (a test's, or the benchmark
+    # tracer's) is what runs.
+    def patched(*args, **kwargs):
+        raise SolverInvariantError(f"patched {name}")
+
+    monkeypatch.setattr(f"blotto.cli.{name}", patched)
+    path = write_json(tmp_path, "g.json", {
+        "budget_a": 2.0, "budget_b": 1.0, "values_a": [1.0, 5.0], "values_b": [1.0, 0.5],
+        "commit_a": [0.5, 1.5],
+    })
+    assert main([argv[0], "--instance", path, *argv[1:], "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"solver invariant failure: patched {name}\n"
 
 
 class TestInputErrors:

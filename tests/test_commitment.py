@@ -1032,6 +1032,25 @@ class TestExtremeScales:
         with pytest.raises(SolverInvariantError, match="K=\\[0..0\\]: OverflowError"):
             optimal_commitment(inst)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            GameInstance(1e308, 1e-308, np.array([1.0, 2.0]), np.array([1.0, 2.0])),
+            GameInstance(1.0, 1.0, np.array([1e308, 1.5e308]), np.array([1e308, 1.6e308])),
+        ],
+        ids=["budget-1e308", "values-1e308"],
+    )
+    def test_top_of_the_float_range_does_not_overflow_the_table_scale(self, inst):
+        # The table prescaled by 2**1024 here, a bare OverflowError; the
+        # power of two at or below the largest entry is at most 2**1023.
+        with np.errstate(all="ignore"):
+            assert not np.isnan(_prefix_table(_quotient(inst))).any()
+            try:
+                solution = optimal_commitment(inst)
+            except SolverInvariantError:
+                return
+        assert math.isfinite(solution.leader_utility)
+
     def test_float_refinement_falls_back_to_numpy_values(self):
         # At budgets 1e-200, 2 * x_b**2 * v_bKbar underflows to 0: Python
         # floats raise ZeroDivisionError where numpy gives inf or nan.  The

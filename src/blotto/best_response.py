@@ -92,14 +92,15 @@ def _water_fill(xa: np.ndarray, vb: np.ndarray, budget_b: float):
     """
     m, n = xa.shape
     rows = np.arange(m)
-    order = np.argsort(-(vb / xa), axis=1, kind="stable")
-    xa_s = xa[rows[:, None], order]
-    vb_s = vb[order]
+    with np.errstate(over="ignore"):  # a ratio above the float range is inf
+        order = np.argsort(-(vb / xa), axis=1, kind="stable")
+        xa_s = xa[rows[:, None], order]
+        vb_s = vb[order]
 
-    roots = np.sqrt(xa_s * vb_s)
-    sum_roots = np.cumsum(roots, axis=1)
-    sum_xa = np.cumsum(xa_s, axis=1)
-    satisfied = vb_s / xa_s > (sum_roots / (budget_b + sum_xa)) ** 2
+        roots = np.sqrt(xa_s * vb_s)
+        sum_roots = np.cumsum(roots, axis=1)
+        sum_xa = np.cumsum(xa_s, axis=1)
+        satisfied = vb_s / xa_s > (sum_roots / (budget_b + sum_xa)) ** 2
     k = n - 1 - np.argmax(satisfied[:, ::-1], axis=1)  # last satisfied position
     k[~satisfied[rows, k]] = -1
 

@@ -172,10 +172,11 @@ class CaseCoefficients:
     def from_instance(cls, instance: GameInstance, k: int) -> "CaseCoefficients":
         va, vb = instance.values_a[:k], instance.values_b[:k]
         x_a, x_b = instance.budget_a, instance.budget_b
-        v_aK = float(va.sum())
-        v_bK = float(vb.sum())
-        v_bKbar = float(instance.values_b[k:].sum())
-        c_K = float((va**2 / vb).sum())
+        with np.errstate(over="ignore"):  # a sum of inf fails the candidate later
+            v_aK = float(va.sum())
+            v_bK = float(vb.sum())
+            v_bKbar = float(instance.values_b[k:].sum())
+            c_K = float((va**2 / vb).sum())
         return cls(
             v_aK=v_aK,
             v_bK=v_bK,
@@ -330,8 +331,9 @@ def solve_case2_full_support(instance: GameInstance) -> CandidateDraft | None:
     to budget_a.  Returns None when the spend misses the budget identity.
     """
     va, vb = instance.values_a, instance.values_b
-    c_K = float((va**2 / vb).sum())
-    v_bK = float(vb.sum())
+    with np.errstate(over="ignore"):  # a sum of inf fails the candidate later
+        c_K = float((va**2 / vb).sum())
+        v_bK = float(vb.sum())
     alpha = -math.sqrt(c_K / v_bK)
     weights = (va / np.sqrt(vb) - alpha * np.sqrt(vb)) ** 2
     with np.errstate(all="ignore"):  # a sum that overflows gives nan amounts

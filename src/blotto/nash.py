@@ -6,31 +6,26 @@ in proportion to values_a, which is how the quotient's amounts are spread
 back over it.
 
 The equilibrium is characterized by a positive root mu* of a degree-2n
-polynomial built from the value ratios rho_h = v_bh / v_ah and the budget
+polynomial f built from the value ratios rho_h = v_bh / v_ah and the budget
 ratio r = x_a / x_b; both players' allocations then follow in closed form.
-The root always lies in [min_h rho_h * r, max_h rho_h * r] and the
-polynomial changes sign across that interval, so a scan plus bracketed
-root refinement by Brent's method (brentq, below) finds it.  A root whose
-reconstruction is not a valid pair of allocations, or not a mutual best
-response, is dropped; when no root survives, solve_nash raises
-SolverInvariantError.
+The roots are the fixed points of T(mu) = r * sum_j w_j rho_j / sum_j w_j,
+w_j = v_bj / (mu + rho_j)^2, a weighted mean of r * rho: T maps
+[min_h rho_h * r, max_h rho_h * r] into itself and is nondecreasing, so by
+Tarski's theorem T iterated from the two ends rises to the least root and
+falls to the greatest.  solve_nash scans f's sign on the grid cells
+between the two iterates, refines each sign change by Brent's method
+(brentq, below), and drops a root whose reconstruction is not a valid pair
+of allocations, or not a mutual best response; when no root survives, it
+raises SolverInvariantError.
 
-The scan samples f at SCAN_CELLS + 1 points.  Where the product
-prod_j (mu + rho_j)^2 overflows, f is NaN, and every later point
-overflows too; one probe of the last point and a bisection on single
-points find the first such point, and only the points before it are
-evaluated (at n = 512 most points of a `gen` instance overflow).  The
-kept points are evaluated in row blocks of _SCAN_BLOCK_ELEMENTS (mu, h)
-pairs, at least one row, that reuse two preallocated buffers, so the
-scan holds about 1 MiB at any n, not SCAN_CELLS * n floats.  Overflow
-inside the scan is expected and runs with numpy's warnings off.  The
-scan is sampled, not certified: two roots inside one cell leave no sign
-change and are both missed.
+f is evaluated in product form, which overflows to NaN above some mu from
+about n = 64, in row blocks that hold about 1 MiB at any n.  The scan is
+sampled, not certified: two roots inside one cell leave no sign change and
+are both missed.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,7 +42,7 @@ from .game_core import (
     total_utility,
 )
 
-# Number of scan cells used to bracket sign changes of f on the interval.
+# Number of scan cells on the interval; the bracket keeps whole cells.
 SCAN_CELLS = 4096
 # (mu, h) pairs the scan evaluates at a time (at least one row of n); its
 # working memory is two float64 buffers of this size (512 KiB each).
@@ -65,11 +60,12 @@ _ROOTS_IN_MESSAGE = 8
 
 @dataclass(frozen=True, eq=False)
 class NashSolution:
-    """Equilibrium profile; candidate_roots lists every root of f located on
-    the interval, including the ones dropped because they do not rebuild a
-    valid mutual best response.  From about n = 64 ratio classes the
-    product form overflows above some mu, where f is NaN, so the roots
-    there are not located; that is why most solves fail at n >= 512."""
+    """Equilibrium profile; candidate_roots lists every root of f located
+    inside the bracket (see solve_nash), including the ones dropped because
+    they do not rebuild a valid mutual best response.  From about n = 64
+    ratio classes the product form overflows to NaN above some mu, so a
+    root there shows no sign change; that is why most solves still fail
+    at n >= 512."""
 
     mu_star: float
     alloc_a: Allocation
@@ -86,30 +82,6 @@ def nash_poly(instance: GameInstance, mu: float) -> float:
     if not (math.isfinite(mu) and mu > 0):
         raise InputError(f"nash_poly requires a finite mu > 0, got {mu}")
     return float(_poly_values(instance, np.array([mu]))[0])
-
-
-def _products(mus: np.ndarray, rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """fl(prod_j (mu + rho_j)^2) for each mu, as a column, leaving the
-    squares in the C-contiguous (mus.size, n) buffer sq.  The one place the
-    scan and its overflow search form the product, so both round alike."""
-    np.add(mus[:, None], rho, out=sq)  # strictly positive
-    np.square(sq, out=sq)
-    return sq.prod(axis=1, keepdims=True)
-
-
-def _first_overflow(rho: np.ndarray, grid: np.ndarray) -> int:
-    """Index of the first row of the ascending grid whose product
-    (_products) is inf, or grid.size when none is: one probe of the last
-    row, then a bisection on single rows.  The rows after it overflow too
-    (see solve_nash), so the overflowing rows are a suffix of the grid."""
-    sq = np.empty((1, rho.size))
-
-    def overflows(i: int) -> bool:
-        return bool(np.isinf(_products(grid[i : i + 1], rho, sq)[0, 0]))
-
-    if not overflows(grid.size - 1):
-        return grid.size
-    return bisect.bisect_left(range(grid.size - 1), True, key=overflows)
 
 
 def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
@@ -131,7 +103,9 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
         # terms * (full / squares), which rounds differently.
         mu = mus[start : start + rows]
         sq, tm = squares[: mu.size], terms[: mu.size]
-        full = _products(mu, rho, sq)
+        np.add(mu[:, None], rho, out=sq)  # strictly positive
+        np.square(sq, out=sq)
+        full = sq.prod(axis=1, keepdims=True)
         np.subtract(mu[:, None], rho_r, out=tm)
         np.multiply(instance.values_b, tm, out=tm)
         np.multiply(tm, full, out=tm)
@@ -140,15 +114,28 @@ def _poly_values(instance: GameInstance, mus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_values(instance: GameInstance, grid: np.ndarray) -> np.ndarray:
-    """f over an ascending grid inside [min_h rho_h * r, max_h rho_h * r]:
-    _poly_values on the rows before _first_overflow, NaN on the rest, which
-    are never evaluated.  Bit for bit what _poly_values gives every row, up
-    to the sign of a NaN; solve_nash's docstring says why."""
-    cut = _first_overflow(instance.values_b / instance.values_a, grid)
-    vals = np.full(grid.size, np.nan)
-    vals[:cut] = _poly_values(instance, grid[:cut])
-    return vals
+def _bracket(game: GameInstance, grid: np.ndarray) -> slice:
+    """The rows of the ascending root grid that can hold a root of f: from
+    one cell below to one cell above the two ends of T iterated from
+    grid[0] and grid[-1].  Each step moves the ends inward; the iteration
+    stops once neither end moves by a whole cell, T is not finite, or the
+    ends would cross.  The one-cell margins cover T's rounding."""
+    rho = game.values_b / game.values_a
+    r = game.budget_a / game.budget_b
+    cell = grid[1] - grid[0]
+    ends = grid[[0, -1]]
+    for _ in range(2 * SCAN_CELLS):  # each step moves an end a whole cell
+        w = game.values_b / np.square(ends[:, None] + rho)
+        mapped = r * (w @ rho) / w.sum(axis=1)
+        if not (np.isfinite(mapped).all() and mapped[0] <= mapped[1]):
+            break
+        inward = np.clip(mapped, ends[0], ends[1])
+        moved, ends = np.abs(inward - ends).max(), inward
+        if moved < cell:
+            break
+    first = max(0, int(np.searchsorted(grid, ends[0], "right")) - 2)
+    last = min(grid.size - 1, int(np.searchsorted(grid, ends[1])) + 1)
+    return slice(first, last + 1)
 
 
 def brentq(f, xa: float, xb: float) -> float:
@@ -206,9 +193,9 @@ def brentq(f, xa: float, xb: float) -> float:
 
 def _reconstruct(instance: GameInstance, mu: float) -> tuple[Allocation, Allocation]:
     rho = instance.values_b / instance.values_a
-    w = instance.values_b * rho * mu / (mu + rho) ** 2
-    denom = w.sum()
     with np.errstate(all="ignore"):  # w underflowing to 0 gives nan, which Allocation rejects
+        w = instance.values_b * rho * mu / (mu + rho) ** 2
+        denom = w.sum()
         x_b = w / denom * instance.budget_b
         x_a = mu * (w / rho) / denom * instance.budget_b
     return (
@@ -240,37 +227,25 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     Solves the ratio-class quotient of instance, whose mu*, roots and
     utilities it reports, and spreads each class's amounts over the class.
     A one-class quotient has lo == hi, and its root is that point.
-    Otherwise this scans the root interval in SCAN_CELLS cells, refines
-    every sign change with brentq (the in-repo Brent method), keeps the
-    roots whose reconstructed profiles are valid allocations and mutual
-    best responses, and among those returns the one with the highest
-    leader utility.
+    Otherwise this brackets the roots by iterating T from both ends of the
+    root interval (_bracket), samples f on the bracket's cells of the
+    interval's SCAN_CELLS-cell grid, refines every sign change with brentq
+    (the in-repo Brent method), keeps the roots whose reconstructed
+    profiles are valid allocations and mutual best responses, and among
+    those returns the one with the highest leader utility.
 
-    The scan evaluates f only below the first grid point whose product
-    fl(prod_j (mu + rho_j)^2) is inf (_first_overflow), and takes f as NaN
-    from there on.  That is what evaluating those points would give, bit
-    for bit up to the NaN's sign, for two reasons:
-    - Once a point overflows, every later one does.  All factors are
-      positive and rounding is monotone, so each partial product at a
-      larger mu is at least as large, in any fixed reduction order; a
-      product of inf has no partial product of 0, so no 0 * inf arises.
-    - An overflowing point's f is NaN.  Every grid mu lies in
-      [min_h rho_h * r, max_h rho_h * r], so one term has mu - rho_h * r
-      >= 0 and another <= 0; times inf they give +inf and -inf, or
-      0 * inf, and the sum is NaN, which is never a zero or a sign change.
-    The kept points are evaluated in row blocks (see _poly_values), so
-    the scan's memory stays bounded at any n.  The scan and the brentq
-    refinement run under np.errstate(over="ignore", invalid="ignore"):
-    their overflow is expected and handled by the NaN rule above, so it
-    prints no RuntimeWarning, and a caller's over="raise" does not reach
-    them.  The scan is sampled: two roots inside one cell cancel out and
-    are not located, so "highest leader utility" ranges over the located
-    roots only, not over every equilibrium.
+    The bracket, the scan and the brentq refinement run under
+    np.errstate(over="ignore", invalid="ignore"): the product form's
+    overflow is expected, and it gives NaN, which is never a zero or a sign
+    change; so it prints no RuntimeWarning, and a caller's over="raise"
+    does not reach them.  The scan is sampled: two roots inside one cell
+    cancel out and are not located, so "highest leader utility" ranges
+    over the located roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
     not converge in a cell.  The raised error holds its message, not the
     solve's arrays: it is raised from a frame that never held the scan
     grid, its values, rho or the quotient, so a caller that keeps the error
-    keeps a few hundred bytes, not the scan (130 KiB for `gen --n 2048`).
+    keeps a few hundred bytes, not the scan.
     """
     outcome = _solve(instance)
     if isinstance(outcome, str):
@@ -293,20 +268,24 @@ def _solve(instance: GameInstance) -> NashSolution | str:
     else:
         grid = np.linspace(lo, hi, SCAN_CELLS + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _scan_values(game, grid)
-            roots = [float(g) for g in grid[vals == 0]]
+            kept = _bracket(game, grid)
+            cells = grid[kept]
+            vals = _poly_values(game, cells)
+            roots = [float(g) for g in cells[vals == 0]]
             signs = np.sign(vals)
             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
                 try:
-                    root = brentq(lambda m: nash_poly(game, m), grid[i], grid[i + 1])
+                    root = brentq(lambda m: nash_poly(game, m), cells[i], cells[i + 1])
                 except ValueError:  # f is NaN inside the cell: no usable root
                     continue
                 except SolverInvariantError as exc:  # did not converge
                     return str(exc)
                 roots.append(float(root))
-        if not roots:
-            sampled = ", ".join(f"f({g:.6g})={v:.3g}" for g, v in zip(grid[::512], vals[::512]))
-            return f"no sign change of f on [{lo:.6g}, {hi:.6g}]; samples: {sampled}"
+            if not roots:
+                samples = grid[::512]
+                values = _poly_values(game, samples)
+                sampled = ", ".join(f"f({g:.6g})={v:.3g}" for g, v in zip(samples, values))
+                return f"no sign change of f on [{lo:.6g}, {hi:.6g}]; samples: {sampled}"
         roots = sorted(set(roots))
 
     candidates = []

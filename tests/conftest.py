@@ -35,6 +35,26 @@ def random_instance(rng: np.random.Generator, n: int) -> GameInstance:
     )
 
 
+def log_uniform_instance(seed):
+    """n in [2, 16], log-uniform values in 1e±3 and budgets in 1e±2."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 17))
+    budgets = 10.0 ** rng.uniform(-2, 2, 2)
+    return GameInstance(*budgets, 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n))
+
+
+def extreme_instance(seed, exponent=6):
+    """n in [2, 11], values and budgets log-uniform in 1e±exponent."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    budgets = 10.0 ** rng.uniform(-exponent, exponent, 2)
+    return GameInstance(
+        *budgets,
+        10.0 ** rng.uniform(-exponent, exponent, n),
+        10.0 ** rng.uniform(-exponent, exponent, n),
+    )
+
+
 def random_positive_allocation(
     rng: np.random.Generator, n: int, budget: float
 ) -> Allocation:

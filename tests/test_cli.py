@@ -27,6 +27,13 @@ from blotto.cli import main
 from conftest import fresh_process_env
 
 CROSSING_RATIO = 1.694050881103528  # budget ratio where SE and NE coincide
+# Two valid games at the top of the float range.
+TOP_OF_RANGE = {
+    "budget-1e308": {"budget_a": 1e308, "budget_b": 1e-308, "values_a": [1, 2], "values_b": [1, 2]},
+    "values-1e308": {
+        "budget_a": 1, "budget_b": 1, "values_a": [1e308, 1.5e308], "values_b": [1e308, 1.6e308],
+    },
+}
 
 
 def write_json(tmp_path, name, payload):
@@ -149,14 +156,7 @@ class TestSolveCommitment:
         assert "solver invariant failure" in err
         assert "OverflowError" in err
 
-    @pytest.mark.parametrize(
-        "instance",
-        [
-            {"budget_a": 1e308, "budget_b": 1e-308, "values_a": [1, 2], "values_b": [1, 2]},
-            {"budget_a": 1, "budget_b": 1, "values_a": [1e308, 1.5e308], "values_b": [1e308, 1.6e308]},
-        ],
-        ids=["budget-1e308", "values-1e308"],
-    )
+    @pytest.mark.parametrize("instance", TOP_OF_RANGE.values(), ids=TOP_OF_RANGE.keys())
     def test_top_of_the_float_range_ends_without_a_traceback(self, tmp_path, instance):
         # The prefix table's power-of-two prescale was 2**1024 here and
         # raised a bare OverflowError: exit 1 with a traceback.
@@ -184,29 +184,45 @@ class TestSolveCommitment:
             "K=[0..1023]: infeasible; K=[0..2047]: InputError: allocation amounts must be finite\n"
         )
 
-    def test_expected_overflow_prints_only_the_failure(self, tmp_path):
+    @pytest.mark.parametrize("game, command, code", [
+        ("gen-1e100", "solve-commitment", 3),
+        ("values-1e308", "solve-commitment", 3),
+        ("values-1e308", "solve-nash", 0),
+        ("budget-1e308", "solve-commitment", 3),
+        ("budget-1e308", "solve-nash", 3),
+    ])
+    def test_expected_overflow_prints_only_the_failure(self, tmp_path, game, command, code):
         # `gen --n 3 --seed 2` times 1e100: CASE_2_2 overflows on the way to
-        # exit 3, and numpy's RuntimeWarnings must not reach the console.  A
+        # exit 3; the two games at the top of the float range overflow in
+        # the case coefficients, the water filling's ratios and the Nash
+        # reconstruction.  numpy's RuntimeWarnings must not reach the
+        # console: stderr is the one-line failure, or empty on exit 0.  A
         # fresh process, because pytest captures warnings.
-        gen_path = tmp_path / "g.json"
-        assert main(["gen", "--n", "3", "--seed", "2", "--out", str(gen_path)]) == 0
-        data = json.loads(gen_path.read_text())
-        for key in ("budget_a", "budget_b"):
-            data[key] *= 1e100
-        for key in ("values_a", "values_b"):
-            data[key] = [v * 1e100 for v in data[key]]
+        if game == "gen-1e100":
+            gen_path = tmp_path / "g.json"
+            assert main(["gen", "--n", "3", "--seed", "2", "--out", str(gen_path)]) == 0
+            data = json.loads(gen_path.read_text())
+            for key in ("budget_a", "budget_b"):
+                data[key] *= 1e100
+            for key in ("values_a", "values_b"):
+                data[key] = [v * 1e100 for v in data[key]]
+        else:
+            data = TOP_OF_RANGE[game]
         path = write_json(tmp_path, "huge.json", data)
         result = subprocess.run(
-            [sys.executable, "-m", "blotto.cli", "solve-commitment", "--instance", path],
+            [sys.executable, "-m", "blotto.cli", command, "--instance", path],
             env=fresh_process_env(),
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert result.returncode == 3
+        assert result.returncode == code, result.stderr
         lines = result.stderr.splitlines()
-        assert len(lines) == 1
-        assert "solver invariant failure" in lines[0]
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1, result.stderr
+            assert "solver invariant failure" in lines[0]
 
 
 class TestSolveNash:

@@ -41,7 +41,14 @@ from blotto.commitment import (
 )
 from blotto.cli import VERIFY_COMMIT_ATOL
 from blotto.game_core import BUDGET_SUM_RTOL, ratio_quotient
-from conftest import random_instance, retained_by_error, tied_instance, worked_example_instance
+from conftest import (
+    extreme_instance,
+    log_uniform_instance,
+    random_instance,
+    retained_by_error,
+    tied_instance,
+    worked_example_instance,
+)
 from record_digests import load_digests
 
 # n=3 instance whose optimal commitment concedes battlefield 2 (a proper
@@ -433,14 +440,6 @@ class TestLargeN:
         assert set(best_response(inst, sol.allocation).support) == set(sol.support)
 
 
-def log_uniform_instance(seed):
-    """n in [2, 16], log-uniform values in 1e±3 and budgets in 1e±2."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 17))
-    budgets = 10.0 ** rng.uniform(-2, 2, 2)
-    return GameInstance(*budgets, 10.0 ** rng.uniform(-3, 3, n), 10.0 ** rng.uniform(-3, 3, n))
-
-
 # seed: (passes, k, _digest(optimal_commitment(log_uniform_instance(seed)))),
 # recorded at b4debcf.  Each winner is CASE_2_2 at prefix k, and its alpha
 # search ends after that many truncation passes.  About 1 in 100 CASE_2_2
@@ -457,18 +456,6 @@ def pass_entry(seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         passes = TestTruncationPasses.passes(monkeypatch, canon, k)
     return passes, k, _digest(sol)
-
-
-def extreme_instance(seed, exponent=6):
-    """n in [2, 11], values and budgets log-uniform in 1e±exponent."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
-    budgets = 10.0 ** rng.uniform(-exponent, exponent, 2)
-    return GameInstance(
-        *budgets,
-        10.0 ** rng.uniform(-exponent, exponent, n),
-        10.0 ** rng.uniform(-exponent, exponent, n),
-    )
 
 
 def _outcome(instance):

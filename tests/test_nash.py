@@ -21,8 +21,15 @@ from blotto import (
     total_utility,
 )
 from blotto import nash
+from blotto.game_core import ratio_quotient
 from blotto.cli import main
-from conftest import random_instance, retained_by_error, worked_example_instance
+from conftest import (
+    extreme_instance,
+    log_uniform_instance,
+    random_instance,
+    retained_by_error,
+    worked_example_instance,
+)
 from record_digests import load_digests
 
 
@@ -228,17 +235,44 @@ class TestSolverFailures:
             with pytest.raises(SolverInvariantError, match="no root of f reconstructs"):
                 solve_nash(inst)
 
-    def test_extreme_skew_error_lists_the_first_roots(self):
+    @staticmethod
+    def roots_message(inst):
+        """The "no root ... reconstructs" message for an instance whose f
+        underflows to 0 on every kept grid point, so that every grid point
+        of the bracket is a root."""
+        game = ratio_quotient(inst).game
+        grid = solve_grid(game)
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = grid[nash._bracket(game, grid)]
+        assert not nash._poly_values(game, roots).any()
+        listed = [float(mu) for mu in roots[: nash._ROOTS_IN_MESSAGE]]
+        more = f" (the first {len(listed)} of {roots.size})" if roots.size > len(listed) else ""
+        return f"no root of f reconstructs a mutual best response; roots={listed}{more}"
+
+    def test_extreme_skew_error_lists_the_roots_of_the_bracket(self):
         # The CI's extreme-skew instance: f underflows to 0 at every scan
-        # point, so all 4097 grid points are roots, and none reconstructs.
+        # point, and the bracket keeps a few of them, none of which
+        # reconstructs.
         va, vb = np.array([1e20, 5e20]), np.array([1e-100, 0.5e-100])
         inst = GameInstance(1.694050881103529, 1.0, va, vb)
         with pytest.raises(SolverInvariantError) as info:
             solve_nash(inst)
+        assert str(info.value) == self.roots_message(inst)
+        assert "(the first" not in str(info.value)
+
+    def test_extreme_skew_error_lists_the_first_roots(self):
+        # The three-root instance of test_every_mutual_best_response_root_is_located
+        # with the CI's skew: the bracket's ends stay apart, so it keeps
+        # about half the grid, all zeros of f, and the message lists 8.
+        va = np.array([1.3728450074150764, 5.042850838157138]) * 1e20
+        vb = np.array([6.0548337404712385, 0.38402118288225107]) * 1e-100
+        inst = GameInstance(0.6495541124776885, 1.0, va, vb)
+        with pytest.raises(SolverInvariantError) as info:
+            solve_nash(inst)
         message = str(info.value)
+        assert message == self.roots_message(inst)
         assert len(message) < 2000
-        assert message.endswith(f"(the first 8 of {nash.SCAN_CELLS + 1})")
-        assert message.count(",") == 7
+        assert message.count(",") == 7 and "(the first 8 of " in message
 
     def test_root_refinement_error_means_no_root_in_the_cell(self, monkeypatch):
         def nan_inside(*args, **kwargs):
@@ -354,7 +388,10 @@ def _outcome_digest(inst) -> str:
 # commit 9387141 (unblocked product-form scan) and kept in
 # tests/digests.json.  Beyond the golden corpus, which stops at n=16; every
 # bit must stay.  (512, 0), (512, 2), (512, 4) and (2048, 0) pin a
-# SolverInvariantError: the product form overflows.
+# SolverInvariantError: the product form overflows.  (128, 0), (128, 1)
+# and (512, 3) were re-recorded when the bracket took out of their
+# candidate_roots the point where the product form flips from +1e307 to
+# -inf, which is not a root; their selected equilibria kept every bit.
 PINNED_DIGESTS = load_digests("test_nash.PINNED_DIGESTS")
 
 
@@ -363,41 +400,124 @@ def pinned_entry(n, seed):
     return _outcome_digest(random_instance(np.random.default_rng(seed), n))
 
 
-# First overflowing row of the solve grid of `blotto gen --n N --seed S`:
-# none (all 4097 rows kept), inside the scan's second row block, a few
-# rows, and row 0.
-CUT_CASES = {(128, 3): 4097, (128, 0): 646, (512, 0): 34, (2048, 0): 2, (2048, 25): 0}
-
-
 def solve_grid(inst):
     rho = inst.values_b / inst.values_a
     r = inst.budget_a / inst.budget_b
     return np.linspace(float(rho.min()) * r, float(rho.max()) * r, nash.SCAN_CELLS + 1)
 
 
-def product_form_rows(inst, grid):
-    """The row products and f on every grid row, evaluated one row at a
-    time in the product form's operation order: no blocks and no cut."""
+def nash_g(inst, mus):
+    """G(mu) = sum_h v_bh (mu - rho_h * r) / (mu + rho_h)^2 for each mu: f
+    divided by mu * prod_j (mu + rho_j)^2, so it has f's sign without the
+    product form's overflow."""
     rho = inst.values_b / inst.values_a
     rho_r = rho * (inst.budget_a / inst.budget_b)
-    full, vals = np.empty(grid.size), np.empty(grid.size)
-    for i, mu in enumerate(grid):
-        sq = np.square(mu + rho)
-        full[i] = sq.prod()
-        vals[i] = mu * (inst.values_b * (mu - rho_r) * full[i] / sq).sum()
-    return full, vals
+    mus = np.asarray(mus)[:, None]
+    rows = max(1, 2**18 // rho.size)
+    return np.concatenate([
+        (inst.values_b * (mu - rho_r) / (mu + rho) ** 2).sum(axis=1)
+        for mu in np.split(mus, range(rows, mus.shape[0], rows))
+    ])
 
 
-def assert_cut_scan_is_exact(inst, grid, cut):
-    """The overflowing rows are exactly the suffix from `cut`, and the cut
-    scan equals the product form on every row."""
-    full, reference = product_form_rows(inst, grid)
-    assert nash._first_overflow(inst.values_b / inst.values_a, grid) == cut
-    assert not np.isinf(full[:cut]).any() and np.isinf(full[cut:]).all()
-    finite = ~np.isnan(reference)
-    values = nash._scan_values(inst, grid)
-    assert np.array_equal(values, reference, equal_nan=True)
-    assert np.array_equal(np.signbit(values[finite]), np.signbit(reference[finite]))
+def whole_scan_roots(inst, grid):
+    """(cell, root) for every root the sampled scan finds on all of grid:
+    each zero of f at a grid point (its cell is its index) and brentq's
+    root of each sign change: the reference that the solve's scan must
+    match inside the bracket's cells."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = nash._poly_values(inst, grid)
+        found = [(int(i), float(grid[i])) for i in np.nonzero(vals == 0)[0]]
+        signs = np.sign(vals)
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+            try:
+                root = nash.brentq(lambda m: nash_poly(inst, m), grid[i], grid[i + 1])
+            except ValueError:
+                continue
+            found.append((int(i), float(root)))
+    return found
+
+
+def roots_in_kept_cells(inst):
+    """The roots that the whole scan of inst's quotient finds in the cells
+    that the bracket keeps, sorted."""
+    game = ratio_quotient(inst).game
+    grid = solve_grid(game)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = nash._bracket(game, grid)
+    found = whole_scan_roots(game, grid)
+    return tuple(sorted({root for cell, root in found if kept.start <= cell < kept.stop - 1}))
+
+
+def bracket_draws():
+    """`gen` draws at n 2-2048, log-uniform draws and extreme_instance draws
+    at 1e+-6 and 1e+-12."""
+    for n, seeds in [(2, 30), (16, 20), (128, 20), (512, 6), (2048, 3)]:
+        for seed in range(seeds):
+            yield random_instance(np.random.default_rng(seed), n)
+    for seed in range(100):
+        yield log_uniform_instance(seed)
+    for seed in range(100):
+        yield extreme_instance(seed, 6)
+    for seed in range(60):
+        yield extreme_instance(seed, 12)
+
+
+class TestBracket:
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (64, 128, 512) for seed in range(5)])
+    def test_candidate_roots_are_roots_of_the_nash_equation(self, n, seed):
+        # Each listed root is a zero of f or has G (f's sign) change across
+        # it within one scan cell.  Where the product form's f flips from
+        # about +1e307 to -inf, G is positive on both sides: that point is
+        # not a root ((128, 0), (128, 1) and (512, 3) have one).
+        inst = random_instance(np.random.default_rng(seed), n)
+        try:
+            roots = solve_nash(inst).candidate_roots
+        except SolverInvariantError:
+            return
+        game = ratio_quotient(inst).game
+        grid = solve_grid(game)
+        cell = grid[1] - grid[0]
+        for mu in roots:
+            below, above = nash_g(game, [mu - cell, mu + cell])
+            assert nash_poly(game, mu) == 0 or np.sign(below) != np.sign(above), mu
+
+    def test_every_sign_change_of_g_is_kept(self):
+        # G < 0 on every grid point up to the first kept one and G > 0 from
+        # the last kept one on, so every root on the grid lies in the kept
+        # cells.  The one-cell margins cover T's rounding:
+        # extreme_instance(37, 12) iterates to the top of the interval,
+        # above its root.
+        for inst in bracket_draws():
+            game = ratio_quotient(inst).game
+            grid = solve_grid(game)
+            if grid[0] == grid[-1]:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept = nash._bracket(game, grid)
+            assert (nash_g(game, grid[: kept.start + 1]) < 0).all(), inst
+            assert (nash_g(game, grid[kept.stop - 1 :]) > 0).all(), inst
+
+    @pytest.mark.parametrize("n, seed", [(128, 0), (128, 1), (512, 1), (512, 3)])
+    def test_kept_cells_give_the_roots_of_the_whole_scan(self, n, seed):
+        # Bit for bit: the solve lists exactly the roots that the scan over
+        # the whole interval finds inside the bracket's cells.
+        inst = random_instance(np.random.default_rng(seed), n)
+        assert solve_nash(inst).candidate_roots == roots_in_kept_cells(inst)
+
+    def test_wide_bracket_gives_the_roots_of_the_whole_scan(self):
+        # The three-root instance: the ends stay apart, so the bracket
+        # keeps half the grid, and the roots are those of the whole scan in
+        # its cells.
+        inst = GameInstance(
+            budget_a=0.6495541124776885,
+            budget_b=1.0,
+            values_a=np.array([1.3728450074150764, 5.042850838157138]),
+            values_b=np.array([6.0548337404712385, 0.38402118288225107]),
+        )
+        kept = nash._bracket(inst, solve_grid(inst))
+        assert kept.stop - kept.start > nash.SCAN_CELLS // 2
+        assert solve_nash(inst).candidate_roots == roots_in_kept_cells(inst)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -422,26 +542,9 @@ class TestLargeN:
         assert np.array_equal(blocked, single, equal_nan=True)
         assert np.array_equal(np.signbit(blocked), np.signbit(single))
 
-    @pytest.mark.parametrize("n, seed", sorted(CUT_CASES))
-    def test_cut_scan_matches_the_product_form_on_every_row(self, n, seed):
-        inst = random_instance(np.random.default_rng(seed), n)
-        assert_cut_scan_is_exact(inst, solve_grid(inst), CUT_CASES[n, seed])
-
-    def test_cut_on_a_block_boundary(self):
-        # The (128, 0) solve grid, resampled so that its first overflowing
-        # row is the first row after the scan's first block.
-        inst = random_instance(np.random.default_rng(0), 128)
-        grid = solve_grid(inst)
-        cut, boundary = CUT_CASES[128, 0], nash._SCAN_BLOCK_ELEMENTS // 128
-        grid = np.concatenate([
-            np.linspace(grid[0], grid[cut - 1], boundary),
-            np.linspace(grid[cut], grid[-1], grid.size - boundary),
-        ])
-        assert_cut_scan_is_exact(inst, grid, boundary)
-
     def test_nan_rule_stays_inside_the_interval(self):
         # Above max rho * r every term is positive, so an overflowing mu
-        # gives +inf, not the NaN the scan takes for its overflowing rows.
+        # gives +inf, not the NaN of an overflowing point inside the interval.
         inst = random_instance(np.random.default_rng(1), 512)
         mu = 2 * solve_grid(inst)[-1]
         assert np.isinf(np.square(mu + inst.values_b / inst.values_a).prod())
@@ -450,15 +553,16 @@ class TestLargeN:
     def test_scan_memory_is_bounded(self):
         # The unblocked scan held about 256 MB of (4097 x n) temporaries
         # at n=2048; the blocked one reuses two small row-block buffers.
-        # Every ratio lies in [0.5, 0.51] and r = 1, so no row product
-        # overflows and all 4097 rows are scanned.
+        # The kept cells span the whole grid when the bracket's ends do not
+        # move, so the scan of every grid row is measured, and the solve.
+        # Every ratio lies in [0.5, 0.51] and r = 1, so no row overflows.
         rng = np.random.default_rng(0)
         values_a = rng.uniform(0.1, 10.0, 2048)
         inst = GameInstance(1.0, 1.0, values_a, values_a * rng.uniform(0.5, 0.51, 2048))
-        rho = inst.values_b / inst.values_a
-        assert nash._first_overflow(rho, solve_grid(inst)) == nash.SCAN_CELLS + 1
+        grid = solve_grid(inst)
         tracemalloc.start()
         try:
+            assert np.isfinite(nash._poly_values(inst, grid)).all()
             solve_nash(inst)
         finally:
             peak = tracemalloc.get_traced_memory()[1]

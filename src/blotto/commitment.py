@@ -33,6 +33,17 @@ in that order.  Adjacent quotient ratios differ, so k alone picks the case:
   is expected, and they run with numpy's warnings off, which changes no
   value.
 
+Each closed form is written once, and the case solvers and _prefix_table
+both evaluate it: CaseCoefficients.from_sums holds B1-B6, _partial_terms
+CASE_2_2's y and the numerator and denominator of u_hat at alpha,
+_case1_spend CASE_1's spend on K (its discriminant), _full_support_spend
+CASE_2_1's alpha and spend, _square_weights the square-weight profile
+that CASE_2_1 normalizes and CASE_2_2's reconstruction divides by y, and
+_score_margin _draft's score and margin.  The solvers call them on Python
+floats (or, in the scan, one sample array) in their own operation order;
+the table calls them on arrays of every prefix, where a value may round
+differently, which only changes which prefixes get solved.
+
 CASE_1 and CASE_2_2 park the battlefields outside K with one threshold
 formula, _threshold_scale, which threshold_allocation_outside_support also
 uses for an arbitrary K.  A case solver returns None when its spend misses
@@ -61,8 +72,8 @@ two roots of that quadratic, the roots of phi2, the two region ends and
 the final truncation radius on either side.  Each feasible candidate gets
 _draft's score and margin in closed form from the prefix sums, and a
 row's score is the best score among its candidates with margin below 1 +
-_TABLE_RTOL.  The k = 1 and k = n rows are the CASE_1 and CASE_2_1 closed
-forms.  The prefixes are then solved by the case solvers, in descending
+_TABLE_RTOL.  The k = 1 and k = n rows score the CASE_1 and CASE_2_1
+spends.  The prefixes are then solved by the case solvers, in descending
 order of score, only while the score stays in a band below the best
 valid utility so far; each solved draft is round-tripped unless its
 margin rules K out, and the valid candidates are folded in ascending k
@@ -171,12 +182,18 @@ class CaseCoefficients:
     @classmethod
     def from_instance(cls, instance: GameInstance, k: int) -> "CaseCoefficients":
         va, vb = instance.values_a[:k], instance.values_b[:k]
-        x_a, x_b = instance.budget_a, instance.budget_b
         with np.errstate(over="ignore"):  # a sum of inf fails the candidate later
             v_aK = float(va.sum())
             v_bK = float(vb.sum())
             v_bKbar = float(instance.values_b[k:].sum())
             c_K = float((va**2 / vb).sum())
+        return cls.from_sums(v_aK, v_bK, v_bKbar, c_K, instance.budget_a, instance.budget_b)
+
+    @classmethod
+    def from_sums(cls, v_aK, v_bK, v_bKbar, c_K, x_a, x_b) -> "CaseCoefficients":
+        """The coefficients from the sums: Python floats for a case solver,
+        or numpy columns with one row per prefix for _prefix_table.  Python
+        floats raise OverflowError where ** overflows."""
         return cls(
             v_aK=v_aK,
             v_bK=v_bK,
@@ -189,6 +206,62 @@ class CaseCoefficients:
             B5=8 * x_b * (x_a + x_b) * v_aK * v_bKbar - 2 * x_a**2 * v_aK * v_bK,
             B6=x_a**2 * v_aK**2 - 4 * x_b * (x_a + x_b) * c_K * v_bKbar,
         )
+
+
+def _partial_terms(co: CaseCoefficients, x_b):
+    """CASE_2_2's terms(alpha, root): y and the numerator and denominator
+    of u_hat at alpha, where root = sqrt(max(phi2(alpha), 0)).
+
+    Operators only, on the coefficients bound here once: the scan passes
+    its sample array, the refinement one Python float, and _prefix_table
+    arrays of every prefix's candidates.  alpha**2 squares an array as
+    alpha*alpha but calls C pow on a float, and the two differ in the last
+    bit on about 0.1% of inputs.  So the refinement is not batched into
+    arrays: a last-bit change in one u_hat value can flip a golden-section
+    comparison and move alpha.
+    """
+    B1, B2, B3 = co.B1, co.B2, co.B3
+    c_K, v_aK, v_bK = co.c_K, co.v_aK, co.v_bK
+    two_xb2_vbar = 2 * x_b**2 * co.v_bKbar
+
+    def terms(alpha, root):
+        y = ((B1 * alpha + B2) * alpha + B3 - (v_aK - v_bK * alpha) * root) / two_xb2_vbar
+        num = (c_K - alpha * v_aK) * (v_aK - alpha * v_bK)
+        den = y * x_b + (c_K - 2 * alpha * v_aK + alpha**2 * v_bK)
+        return y, num, den
+
+    return terms
+
+
+def _case1_spend(v_bK: float, v_bKbar: float, x_a, x_b):
+    """CASE_1's total spend on K: x_a when K is everything, else the larger
+    root of the budget quadratic, or None when the budget cannot afford the
+    thresholds (a negative discriminant, or a root outside (0, x_a])."""
+    if v_bKbar == 0.0:
+        return x_a
+    disc = x_a**2 * v_bK**2 - 4 * x_a * x_b * v_bK * v_bKbar - 4 * x_b**2 * v_bK * v_bKbar
+    if disc < 0:
+        return None
+    x_aK = (x_a * v_bK - 2 * x_b * v_bKbar + math.sqrt(disc)) / (2 * (v_bKbar + v_bK))
+    return None if x_aK <= 0 or x_aK > x_a else x_aK
+
+
+def _square_weights(va: np.ndarray, vb: np.ndarray, alpha: float) -> np.ndarray:
+    """The CASE_2 square-weight profile (v_aj/sqrt(v_bj) - alpha*sqrt(v_bj))^2,
+    which is v_bj (rho_j - alpha)^2."""
+    root_vb = np.sqrt(vb)
+    return (va / root_vb - alpha * root_vb) ** 2
+
+
+def _full_support_spend(va: np.ndarray, vb: np.ndarray, x_a) -> tuple[float, np.ndarray]:
+    """CASE_2_1's alpha = -sqrt(c_K / v_bK) and its square-weight profile
+    normalized to x_a: inf or nan where a sum overflows, which fails the
+    candidate later.  Callers turn numpy's warnings off."""
+    c_K = float((va**2 / vb).sum())
+    v_bK = float(vb.sum())
+    alpha = -math.sqrt(c_K / v_bK)
+    weights = _square_weights(va, vb, alpha)
+    return alpha, weights / weights.sum() * x_a
 
 
 def _threshold_scale(budget_b: float, spend: np.ndarray, vb_on_K: np.ndarray) -> float:
@@ -279,14 +352,20 @@ def _draft(
     x_a = instance.budget_a
     if abs(float(amounts.sum()) - x_a) > BUDGET_SUM_RTOL * x_a:
         return None
-    on_K, va, vb = amounts[:k], instance.values_a, instance.values_b
     with np.errstate(all="ignore"):
-        t = on_K / vb[:k]  # x_aj / v_bj
-        root_t = np.sqrt(t)
-        level = (vb[:k] @ root_t) / (instance.budget_b + on_K.sum())  # S / (x_b + X)
-        score = va[k:].sum() + level * (va[:k] @ root_t)
-        margin = level * level * t.max()
+        score, margin = _score_margin(amounts[:k], instance.values_a, instance.values_b, instance.budget_b)
     return CandidateDraft(amounts, case_tag, alpha, y, float(score), float(margin))
+
+
+def _score_margin(on_K: np.ndarray, va: np.ndarray, vb: np.ndarray, x_b):
+    """_draft's score and margin of the spend on_K on prefix K = the first
+    len(on_K) battlefields, the rest parked at their thresholds."""
+    k = len(on_K)
+    t = on_K / vb[:k]  # x_aj / v_bj
+    root_t = np.sqrt(t)
+    level = (vb[:k] @ root_t) / (x_b + on_K.sum())  # S / (x_b + X)
+    score = va[k:].sum() + level * (va[:k] @ root_t)
+    return score, level * level * t.max()
 
 
 def solve_case1(instance: GameInstance, k: int) -> CandidateDraft | None:
@@ -299,24 +378,10 @@ def solve_case1(instance: GameInstance, k: int) -> CandidateDraft | None:
     or the spend misses the budget identity.
     """
     co = CaseCoefficients.from_instance(instance, k)
-    x_a, x_b = instance.budget_a, instance.budget_b
-
-    if co.v_bKbar == 0.0:  # K covers everything; spend the whole budget on it
-        x_aK = x_a
-    else:
-        disc = (
-            x_a**2 * co.v_bK**2
-            - 4 * x_a * x_b * co.v_bK * co.v_bKbar
-            - 4 * x_b**2 * co.v_bK * co.v_bKbar
-        )
-        if disc < 0:
-            return None
-        x_aK = (x_a * co.v_bK - 2 * x_b * co.v_bKbar + math.sqrt(disc)) / (
-            2 * (co.v_bKbar + co.v_bK)
-        )
-        if x_aK <= 0 or x_aK > x_a:
-            return None
-
+    x_b = instance.budget_b
+    x_aK = _case1_spend(co.v_bK, co.v_bKbar, instance.budget_a, x_b)
+    if x_aK is None:
+        return None
     on_K = x_aK * instance.values_a[:k] / co.v_aK
     vb = instance.values_b
     amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
@@ -330,14 +395,8 @@ def solve_case2_full_support(instance: GameInstance) -> CandidateDraft | None:
     square-weight profile (v_aj/sqrt(v_bj) - alpha*sqrt(v_bj))^2 normalized
     to budget_a.  Returns None when the spend misses the budget identity.
     """
-    va, vb = instance.values_a, instance.values_b
-    with np.errstate(over="ignore"):  # a sum of inf fails the candidate later
-        c_K = float((va**2 / vb).sum())
-        v_bK = float(vb.sum())
-    alpha = -math.sqrt(c_K / v_bK)
-    weights = (va / np.sqrt(vb) - alpha * np.sqrt(vb)) ** 2
-    with np.errstate(all="ignore"):  # a sum that overflows gives nan amounts
-        amounts = weights / weights.sum() * instance.budget_a
+    with np.errstate(all="ignore"):
+        alpha, amounts = _full_support_spend(instance.values_a, instance.values_b, instance.budget_a)
     return _draft(instance, instance.n, amounts, CASE_2_1, alpha, None)
 
 
@@ -469,22 +528,8 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CandidateDraf
     ratios_K = va[:k] / vb[:k]
     rho_lo, rho_hi = float(ratios_K.min()), float(ratios_K.max())
 
-    B1, B2, B3, B4, B5, B6 = co.B1, co.B2, co.B3, co.B4, co.B5, co.B6
-    c_K, v_aK, v_bK = co.c_K, co.v_aK, co.v_bK
-    two_xb2_vbar = 2 * x_b**2 * co.v_bKbar
-
-    def terms(alpha, root):
-        # y and the numerator and denominator of u_hat at alpha, where root
-        # = sqrt(max(phi2(alpha), 0)).  Operators only: the scan passes its
-        # sample array, the refinement one Python float.  alpha**2 squares
-        # an array as alpha*alpha but calls C pow on a float, and the two
-        # differ in the last bit on about 0.1% of inputs.  So the refinement
-        # is not batched into arrays: a last-bit change in one u_hat value
-        # can flip a golden-section comparison and move alpha.
-        y = ((B1 * alpha + B2) * alpha + B3 - (v_aK - v_bK * alpha) * root) / two_xb2_vbar
-        num = (c_K - alpha * v_aK) * (v_aK - alpha * v_bK)
-        den = y * x_b + (c_K - 2 * alpha * v_aK + alpha**2 * v_bK)
-        return y, num, den
+    B4, B5, B6 = co.B4, co.B5, co.B6
+    terms = _partial_terms(co, x_b)
 
     def array_terms(alpha):
         # terms on the scan's sample array, or on one numpy scalar
@@ -586,7 +631,7 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CandidateDraf
     y = float_terms(best_alpha)[0]
     if y <= 0:
         return None
-    on_K = (va[:k] / np.sqrt(vb[:k]) - best_alpha * np.sqrt(vb[:k])) ** 2 / y
+    on_K = _square_weights(va[:k], vb[:k], best_alpha) / y
     amounts = np.concatenate([on_K, vb[k:] * _threshold_scale(x_b, on_K, vb[:k])])
     return _draft(instance, k, amounts, CASE_2_2, best_alpha, y)
 
@@ -665,14 +710,8 @@ def _table_block(a, b, c, abar, bbar, rho_lo, rho_hi, x_a, x_b, radius) -> np.nd
     """Scores of CASE_2_2 rows of _prefix_table, from (rows, 1) columns of
     v_aK, v_bK, c_K, v_aKbar, v_bKbar and of the least and largest ratio
     in K; radius is the final truncation radius."""
-    xb_bbar, xs = x_b * bbar, x_a + x_b
-    B1 = x_a * b * b - 2 * xb_bbar * b
-    B2 = 4 * xb_bbar * a - 2 * x_a * a * b
-    B3 = x_a * a * a - 2 * xb_bbar * c
-    # phi2 = f2 alpha^2 + f1 alpha + f0: B4, B5 and B6
-    f0 = x_a * x_a * a * a - 4 * xs * xb_bbar * c
-    f1 = 8 * xs * xb_bbar * a - 2 * x_a * x_a * a * b
-    f2 = x_a * x_a * b * b - 4 * xs * xb_bbar * b
+    co = CaseCoefficients.from_sums(a, b, bbar, c, x_a, x_b)
+    f0, f1, f2 = co.B6, co.B5, co.B4  # phi2 = f2 alpha^2 + f1 alpha + f0
     # u_hat's stationary points: roots of s2 alpha^2 + s1 alpha + s0, the
     # square of A sqrt(phi2) = b0 + b1 alpha, taken in the stable form
     A = 2 * x_a * (b * c - a * a)
@@ -698,14 +737,12 @@ def _table_block(a, b, c, abar, bbar, rho_lo, rho_hi, x_a, x_b, radius) -> np.nd
             np.full((len(a), 2), [-radius, radius]),
         ]
     )
-    # y, den and u_hat as solve_case2_partial_support has them, and q as
-    # _draft has it: (sum_K v_bj |rho_j - alpha|)^2 max_K (rho_j - alpha)^2 / den^2
+    # u_hat from the solvers' own terms, and q as _draft has it: (sum_K
+    # v_bj |rho_j - alpha|)^2 max_K (rho_j - alpha)^2 / den^2
     phi = (f2 * alpha + f1) * alpha + f0
-    L = a - b * alpha
-    y = ((B1 * alpha + B2) * alpha + B3 - L * np.sqrt(np.maximum(phi, 0.0))) / (2 * x_b * xb_bbar)
-    den = y * x_b + (c - 2 * alpha * a + alpha * alpha * b)
-    U = abar + (c - alpha * a) * L / den
-    q = (L / den) ** 2 * np.maximum(rho_hi - alpha, alpha - rho_lo) ** 2
+    y, num, den = _partial_terms(co, x_b)(alpha, np.sqrt(np.maximum(phi, 0.0)))
+    U = abar + num / den
+    q = ((a - b * alpha) / den) ** 2 * np.maximum(rho_hi - alpha, alpha - rho_lo) ** 2
     feasible = (
         ((alpha <= lo_end) | (alpha >= hi_end))
         & (abs(alpha) <= radius)
@@ -715,35 +752,36 @@ def _table_block(a, b, c, abar, bbar, rho_lo, rho_hi, x_a, x_b, radius) -> np.nd
     )
     score = np.where(feasible & (q < 1 + _TABLE_RTOL), U, -np.inf).max(axis=1)
     unknown = (feasible & ~np.isfinite(U * q)).any(axis=1)
-    unknown |= ~np.isfinite(s0 + s1 + s2 + B1 + B2 + B3 + abar)[:, 0]
+    unknown |= ~np.isfinite(s0 + s1 + s2 + co.B1 + co.B2 + co.B3 + abar)[:, 0]
     score[unknown] = np.inf
     return score
 
 
 def _edge_scores(va, vb, x_a, x_b) -> tuple[float, float]:
     """Scores of the k = 1 (CASE_1) and k = n (CASE_2_1) rows of
-    _prefix_table from the closed forms of solve_case1 and
-    solve_case2_full_support, nan where their numbers are not finite.
-    x_a and x_b are numpy floats, so nothing raises."""
-    v_a1, v_b1 = float(va[0]), float(vb[0])
-    v_aKbar, v_bKbar = float(va[1:].sum()), float(vb[1:].sum())
-    x_aK = x_a
-    if v_bKbar != 0.0:
-        disc = x_a**2 * v_b1**2 - 4 * x_a * x_b * v_b1 * v_bKbar - 4 * x_b**2 * v_b1 * v_bKbar
-        x_aK = 0.0 if disc < 0 else (x_a * v_b1 - 2 * x_b * v_bKbar + np.sqrt(disc)) / (2 * (v_bKbar + v_b1))
-    # the k = 1 margin, (x_aK / (x_b + x_aK))^2, is below 1
-    first = -math.inf if x_aK <= 0 or x_aK > x_a else v_aKbar + x_aK * v_a1 / (x_b + x_aK)
+    _prefix_table: _score_margin of the spend on K that solve_case1 and
+    solve_case2_full_support compute, -inf where that spend is infeasible
+    or its margin is at least 1 + _TABLE_RTOL, nan where its numbers are
+    not finite.  x_a and x_b are numpy floats, so nothing raises."""
+
+    def row(on_K):
+        score, margin = _score_margin(on_K, va, vb, x_b)
+        if math.isnan(margin):
+            return math.nan
+        return score if margin < 1 + _TABLE_RTOL else -math.inf
+
+    x_aK = _case1_spend(float(vb[0]), float(vb[1:].sum()), x_a, x_b)
+    first = -math.inf if x_aK is None else row(np.array([x_aK]))
     if len(va) == 1:
         return first, first
-    rho = va / vb
-    c_K, v_aK, v_bK = (va * rho).sum(), va.sum(), vb.sum()
-    alpha = -np.sqrt(c_K / v_bK)
-    L = v_aK - alpha * v_bK
-    den = (c_K - 2 * alpha * v_aK + alpha * alpha * v_bK) * (x_a + x_b) / x_a
-    q = (L / den) ** 2 * (rho.max() - alpha) ** 2
-    if math.isnan(q):
-        return first, math.nan
-    return first, -math.inf if q >= 1 + _TABLE_RTOL else (c_K - alpha * v_aK) * L / den
+    return first, row(_full_support_spend(va, vb, x_a)[1])
+
+
+def _prefix_sums(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """v_aK, v_bK, c_K, v_aKbar and v_bKbar of every support prefix
+    (entry k - 1), as cumulative sums."""
+    inside = (np.cumsum(va), np.cumsum(vb), np.cumsum(va * (va / vb)))
+    return inside + tuple(np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))
 
 
 def _prefix_table(game: GameInstance) -> np.ndarray:
@@ -771,8 +809,7 @@ def _prefix_table(game: GameInstance) -> np.ndarray:
             rho = game.values_a / game.values_b
             radius = TRUNCATION_FACTOR * float(rho.max()) * TRUNCATION_GROWTH**TRUNCATION_EXTENSIONS
             rho_lo, rho_hi = np.minimum.accumulate(rho), np.maximum.accumulate(rho)
-            sums = (np.cumsum(va), np.cumsum(vb), np.cumsum(va * (va / vb)))
-            sums += tuple(np.append(np.cumsum(v[:0:-1])[::-1], 0.0) for v in (va, vb))  # over Kbar
+            sums = _prefix_sums(va, vb)
             for lo in range(1, n - 1, _TABLE_BLOCK_ROWS):
                 rows = slice(lo, min(lo + _TABLE_BLOCK_ROWS, n - 1))
                 columns = (col[rows, None] for col in (*sums, rho_lo, rho_hi))

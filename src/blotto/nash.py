@@ -14,14 +14,16 @@ w_j = v_bj / (mu + rho_j)^2, a weighted mean of r * rho: T maps
 Tarski's theorem T iterated from the two ends rises to the least root and
 falls to the greatest.  solve_nash scans f's sign on the grid cells
 between the two iterates, refines each sign change by Brent's method
-(brentq, below), and drops a root whose reconstruction is not a valid pair
-of allocations, or not a mutual best response; when no root survives, it
+(brentq, below) unless G = sum_h v_bh (mu - rho_h r) / (mu + rho_h)^2,
+which has f's sign without its overflow, keeps one sign across the cell,
+and drops a root whose reconstruction is not a valid pair of
+allocations, or not a mutual best response; when no root survives, it
 raises SolverInvariantError.
 
 f is evaluated in product form, which overflows to NaN above some mu from
-about n = 64, in row blocks that hold about 1 MiB at any n.  The scan is
-sampled, not certified: two roots inside one cell leave no sign change and
-are both missed.
+about n = 64 (and to -inf at the edge), in row blocks that hold about 1
+MiB at any n.  The scan is sampled, not certified: two roots inside one
+cell leave no sign change and are both missed.
 """
 
 from __future__ import annotations
@@ -229,16 +231,20 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     A one-class quotient has lo == hi, and its root is that point.
     Otherwise this brackets the roots by iterating T from both ends of the
     root interval (_bracket), samples f on the bracket's cells of the
-    interval's SCAN_CELLS-cell grid, refines every sign change with brentq
-    (the in-repo Brent method), keeps the roots whose reconstructed
-    profiles are valid allocations and mutual best responses, and among
-    those returns the one with the highest leader utility.
+    interval's SCAN_CELLS-cell grid, refines with brentq (the in-repo
+    Brent method) every sign change of f across which G = f / (mu *
+    prod_j (mu + rho_j)^2) does not keep one sign, keeps the roots whose
+    reconstructed profiles are valid allocations and mutual best
+    responses, and among those returns the one with the highest leader
+    utility.
 
     The bracket, the scan and the brentq refinement run under
-    np.errstate(over="ignore", invalid="ignore"): the product form's
-    overflow is expected, and it gives NaN, which is never a zero or a sign
-    change; so it prints no RuntimeWarning, and a caller's over="raise"
-    does not reach them.  The scan is sampled: two roots inside one cell
+    np.errstate(over="ignore", invalid="ignore", divide="ignore"): the
+    product form's overflow is expected, and it gives NaN, which is never
+    a zero or a sign change, or -inf at its edge, whose false sign change
+    G rules out; so it prints no RuntimeWarning, and a caller's
+    over="raise" does not reach them.  A budget ratio whose root interval is not finite
+    is reported, not solved.  The scan is sampled: two roots inside one cell
     cancel out and are not located, so "highest leader utility" ranges
     over the located roots only, not over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
@@ -262,18 +268,29 @@ def _solve(instance: GameInstance) -> NashSolution | str:
     r = game.budget_a / game.budget_b
     lo = float(rho.min()) * r
     hi = float(rho.max()) * r
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return (
+            f"the budget ratio r = budget_a / budget_b = {game.budget_a:.6g} / {game.budget_b:.6g} overflows: "
+            f"the root interval [r * min rho, r * max rho] = [{lo:.6g}, {hi:.6g}] is not finite"
+        )
 
     if lo == hi:  # one ratio class: the root is the interval itself
         roots = [lo]
     else:
         grid = np.linspace(lo, hi, SCAN_CELLS + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             kept = _bracket(game, grid)
             cells = grid[kept]
             vals = _poly_values(game, cells)
             roots = [float(g) for g in cells[vals == 0]]
             signs = np.sign(vals)
             for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+                # f = mu * prod_j (mu + rho_j)^2 * G: where G keeps one sign
+                # across the cell, f's flip is the product form's overflow edge
+                mu = cells[i : i + 2, None]
+                g = np.sign((game.values_b * (mu - rho * r) / (mu + rho) ** 2).sum(axis=1))
+                if g[0] * g[1] > 0:
+                    continue
                 try:
                     root = brentq(lambda m: nash_poly(game, m), cells[i], cells[i + 1])
                 except ValueError:  # f is NaN inside the cell: no usable root

@@ -35,6 +35,11 @@ TOP_OF_RANGE = {
     },
 }
 
+# What the one-line failure must say, beyond "solver invariant failure".
+OVERFLOW_MESSAGES = {
+    ("budget-1e308", "solve-nash"): "the budget ratio r = budget_a / budget_b = 1e+308 / 1e-308 overflows",
+}
+
 
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
@@ -195,9 +200,10 @@ class TestSolveCommitment:
         # `gen --n 3 --seed 2` times 1e100: CASE_2_2 overflows on the way to
         # exit 3; the two games at the top of the float range overflow in
         # the case coefficients, the water filling's ratios and the Nash
-        # reconstruction.  numpy's RuntimeWarnings must not reach the
-        # console: stderr is the one-line failure, or empty on exit 0.  A
-        # fresh process, because pytest captures warnings.
+        # reconstruction, and the budget game's ratio r overflows, so Nash
+        # has no finite root interval.  numpy's RuntimeWarnings must not
+        # reach the console: stderr is the one-line failure, or empty on
+        # exit 0.  A fresh process, because pytest captures warnings.
         if game == "gen-1e100":
             gen_path = tmp_path / "g.json"
             assert main(["gen", "--n", "3", "--seed", "2", "--out", str(gen_path)]) == 0
@@ -223,6 +229,7 @@ class TestSolveCommitment:
         else:
             assert len(lines) == 1, result.stderr
             assert "solver invariant failure" in lines[0]
+            assert OVERFLOW_MESSAGES.get((game, command), "") in lines[0]
 
 
 class TestSolveNash:

@@ -1,5 +1,6 @@
 """Optimal Stackelberg commitment: case solvers and prefix enumeration."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -33,6 +34,7 @@ from blotto.commitment import (
     CaseCoefficients,
     _golden_max,
     _prefix_candidate,
+    _prefix_sums,
     _prefix_table,
     solve_case1,
     solve_case2_full_support,
@@ -759,6 +761,23 @@ class TestPrefixBounds:
                         assert abs(u - score) <= 1e-9 * u, (inst, k)
                         checked += 1
         assert checked > 250
+
+    def test_table_sums_give_the_solvers_coefficients(self):
+        # from_sums on _prefix_table's prefix-sum columns (cumulative sums)
+        # gives every prefix's from_instance coefficients (sums per prefix)
+        # up to the sums' rounding.
+        checked = 0
+        for inst in self.bound_corpus():
+            game = _quotient(inst)
+            v_aK, v_bK, c_K, _, v_bKbar = _prefix_sums(game.values_a, game.values_b)
+            table = CaseCoefficients.from_sums(v_aK, v_bK, v_bKbar, c_K, game.budget_a, game.budget_b)
+            for k in range(1, game.n + 1):
+                want = CaseCoefficients.from_instance(game, k)
+                for field in dataclasses.fields(CaseCoefficients):
+                    got = getattr(table, field.name)[k - 1]
+                    assert got == pytest.approx(getattr(want, field.name), rel=1e-12, abs=0), (inst, k, field.name)
+                checked += 1
+        assert checked > 2000
 
     def test_memory_is_linear_in_n(self):
         # 6.4 MiB in blocks of 1024 prefixes; 60 MiB in one block.

@@ -464,12 +464,13 @@ def bracket_draws():
 
 
 class TestBracket:
-    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (64, 128, 512) for seed in range(5)])
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (64, 128, 512) for seed in range(5)] + [(512, 15)])
     def test_candidate_roots_are_roots_of_the_nash_equation(self, n, seed):
         # Each listed root is a zero of f or has G (f's sign) change across
         # it within one scan cell.  Where the product form's f flips from
         # about +1e307 to -inf, G is positive on both sides: that point is
-        # not a root ((128, 0), (128, 1) and (512, 3) have one).
+        # not a root ((128, 0), (128, 1) and (512, 3) have one; in (512, 15)
+        # it falls inside the bracket, next to the root).
         inst = random_instance(np.random.default_rng(seed), n)
         try:
             roots = solve_nash(inst).candidate_roots

@@ -12,8 +12,12 @@ prefix, zero elsewhere.  The water level equals the follower's marginal
 utility on every supported battlefield.
 
 _water_fill is the one implementation of this rule, for a whole array of
-leader allocations: best_response passes one row, the grid oracle
-(oracle.batch_leader_utilities) every grid point.
+leader allocations: _reply passes one row, the grid oracle
+(oracle.batch_leader_utilities) every grid point.  _reply is the reply to
+one leader allocation, as a validated Allocation with its sort order,
+last support position and water level.  best_response wraps it for a
+GameInstance; nash._mutual_br calls it directly for the leader's reply to
+the follower, with the two players' roles swapped.
 """
 
 from __future__ import annotations
@@ -92,57 +96,64 @@ def _water_fill(xa: np.ndarray, vb: np.ndarray, budget_b: float):
     """
     m, n = xa.shape
     rows = np.arange(m)
-    with np.errstate(over="ignore"):  # a ratio above the float range is inf
-        order = np.argsort(-(vb / xa), axis=1, kind="stable")
+    # ndarray methods and ufunc methods, not the np.* wrappers: this runs
+    # once per best_response, and each wrapper costs about a microsecond.
+    with np.errstate(over="ignore"):  # a ratio or fill above the float range is inf
+        order = (-(vb / xa)).argsort(axis=1, kind="stable")
         xa_s = xa[rows[:, None], order]
         vb_s = vb[order]
 
         roots = np.sqrt(xa_s * vb_s)
-        sum_roots = np.cumsum(roots, axis=1)
-        sum_xa = np.cumsum(xa_s, axis=1)
+        sum_roots = np.add.accumulate(roots, axis=1)
+        sum_xa = np.add.accumulate(xa_s, axis=1)
         satisfied = vb_s / xa_s > (sum_roots / (budget_b + sum_xa)) ** 2
-    k = n - 1 - np.argmax(satisfied[:, ::-1], axis=1)  # last satisfied position
-    k[~satisfied[rows, k]] = -1
+        k = n - 1 - satisfied[:, ::-1].argmax(axis=1)  # last satisfied position
+        k[~satisfied[rows, k]] = -1
 
-    root_sum = sum_roots[rows, k]
-    spend = budget_b + sum_xa[rows, k]
-    filled = roots * (spend / root_sum)[:, None] - xa_s
-    filled[np.arange(n) > k[:, None]] = 0.0
+        root_sum = sum_roots[rows, k]
+        spend = budget_b + sum_xa[rows, k]
+        filled = roots * (spend / root_sum)[:, None] - xa_s
+    np.putmask(filled, np.arange(n) > k[:, None], 0.0)
     return order, k, filled, root_sum, spend
 
 
-def best_response(instance: GameInstance, leader_alloc: Allocation) -> BestResponseResult:
-    """Unique follower best response to a strictly positive leader allocation."""
-    _check_alloc(instance, leader_alloc, "a")
-    _require_positive_leader(leader_alloc.amounts)
-
-    budget_b = instance.budget_b
-    order, k, filled, root_sum, spend = _water_fill(
-        leader_alloc.amounts[None, :], instance.values_b, budget_b
-    )
+def _reply(values_b: np.ndarray, budget_b: float, xa: np.ndarray):
+    """The follower's reply to the strictly positive leader amounts xa:
+    (allocation, order, k, filled, water_level), the validated Allocation
+    of budget_b and, in _water_fill's sorted order, the fills after the
+    support floor guard.  Raises PreconditionError when an entry of xa is
+    not positive, and InputError when the fills are not a valid
+    allocation."""
+    _require_positive_leader(xa)
+    order, k, filled, root_sum, spend = _water_fill(xa[None, :], values_b, budget_b)
     order, k, filled = order[0], int(k[0]), filled[0]
     if k < 0:  # impossible while budget_b > 0
         raise SolverInvariantError(
-            f"empty best-response support for leader allocation "
-            f"{leader_alloc.amounts!r}"
+            f"empty best-response support for leader allocation {xa!r}"
         )
     water_level = float((root_sum[0] / spend[0]) ** 2)
 
     # Boundary noise guard: zero out sub-floor entries, keep the sum exact.
     floor = SUPPORT_FLOOR_RTOL * budget_b
     tiny = (filled > 0) & (filled <= floor)
-    filled[filled < 0] = 0.0
-    if np.any(tiny):
+    np.putmask(filled, filled < 0, 0.0)
+    if tiny.any():
         lost = filled[tiny].sum()
         filled[tiny] = 0.0
         filled[int(np.argmax(filled))] += lost
 
-    amounts = np.empty(instance.n)
+    amounts = np.empty(order.size)
     amounts[order] = filled
-    support = tuple(order[: k + 1][filled[: k + 1] > 0].tolist())
+    return Allocation(amounts, budget_b), order, k, filled, water_level
 
+
+def best_response(instance: GameInstance, leader_alloc: Allocation) -> BestResponseResult:
+    """Unique follower best response to a strictly positive leader allocation."""
+    _check_alloc(instance, leader_alloc, "a")
+    allocation, order, k, filled, water_level = _reply(
+        instance.values_b, instance.budget_b, leader_alloc.amounts
+    )
+    support = tuple(order[: k + 1][filled[: k + 1] > 0].tolist())
     return BestResponseResult(
-        allocation=Allocation(amounts, budget_b),
-        support=support,
-        water_level=water_level,
+        allocation=allocation, support=support, water_level=water_level
     )

@@ -346,7 +346,10 @@ class RatioQuotient:
     def spread(self, alloc: Allocation) -> Allocation:
         """An allocation on game as one on instance: each class's amount
         split over its battlefields in proportion to values_a.  A
-        one-battlefield class keeps its amount, times exactly 1.0."""
+        one-battlefield class keeps its amount, times exactly 1.0, so when
+        no two battlefields share a class, alloc itself is the answer."""
+        if self.game is self.instance:
+            return alloc
         share = self.instance.values_a / self.game.values_a[self.labels]
         return Allocation(alloc.amounts[self.labels] * share, alloc.budget)
 

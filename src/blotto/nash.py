@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import best_response
+from .best_response import _reply, best_response
 from .game_core import (
     Allocation,
     GameInstance,
@@ -124,19 +124,24 @@ def _bracket(game: GameInstance, grid: np.ndarray) -> slice:
     ends would cross.  The one-cell margins cover T's rounding."""
     rho = game.values_b / game.values_a
     r = game.budget_a / game.budget_b
-    cell = grid[1] - grid[0]
-    ends = grid[[0, -1]]
+    cell = float(grid[1] - grid[0])
+    lo, hi = float(grid[0]), float(grid[-1])
+    w = np.empty((2, rho.size))
     for _ in range(2 * SCAN_CELLS):  # each step moves an end a whole cell
-        w = game.values_b / np.square(ends[:, None] + rho)
-        mapped = r * (w @ rho) / w.sum(axis=1)
-        if not (np.isfinite(mapped).all() and mapped[0] <= mapped[1]):
+        np.add(lo, rho, out=w[0])
+        np.add(hi, rho, out=w[1])
+        np.square(w, out=w)
+        np.divide(game.values_b, w, out=w)
+        t_lo, t_hi = (r * (w @ rho) / w.sum(axis=1)).tolist()
+        if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo <= t_hi):
             break
-        inward = np.clip(mapped, ends[0], ends[1])
-        moved, ends = np.abs(inward - ends).max(), inward
+        t_lo, t_hi = min(max(t_lo, lo), hi), min(max(t_hi, lo), hi)
+        moved = max(abs(t_lo - lo), abs(t_hi - hi))
+        lo, hi = t_lo, t_hi
         if moved < cell:
             break
-    first = max(0, int(np.searchsorted(grid, ends[0], "right")) - 2)
-    last = min(grid.size - 1, int(np.searchsorted(grid, ends[1])) + 1)
+    first = max(0, int(np.searchsorted(grid, lo, "right")) - 2)
+    last = min(grid.size - 1, int(np.searchsorted(grid, hi)) + 1)
     return slice(first, last + 1)
 
 
@@ -207,19 +212,18 @@ def _reconstruct(instance: GameInstance, mu: float) -> tuple[Allocation, Allocat
 
 
 def _mutual_br(instance: GameInstance, alloc_a: Allocation, alloc_b: Allocation) -> bool:
+    """Whether alloc_a and alloc_b are each, to MUTUAL_BR_RTOL of the
+    player's budget, the other's best reply.  The follower's reply is
+    best_response's; the leader's is the same water filling with the
+    players' roles swapped (_reply on values_a and budget_a).  Raises
+    PreconditionError when the other player's allocation has a zero
+    entry, and InputError when a reply is not a valid allocation."""
     reply_b = best_response(instance, alloc_a).allocation
     if np.max(np.abs(reply_b.amounts - alloc_b.amounts)) > MUTUAL_BR_RTOL * instance.budget_b:
         return False
-    swapped = GameInstance(
-        budget_a=instance.budget_b,
-        budget_b=instance.budget_a,
-        values_a=instance.values_b,
-        values_b=instance.values_a,
-    )
-    reply_a = best_response(swapped, alloc_b)
+    reply_a = _reply(instance.values_a, instance.budget_a, alloc_b.amounts)[0]
     return bool(
-        np.max(np.abs(reply_a.allocation.amounts - alloc_a.amounts))
-        <= MUTUAL_BR_RTOL * instance.budget_a
+        np.max(np.abs(reply_a.amounts - alloc_a.amounts)) <= MUTUAL_BR_RTOL * instance.budget_a
     )
 
 
@@ -243,10 +247,11 @@ def solve_nash(instance: GameInstance) -> NashSolution:
     product form's overflow is expected, and it gives NaN, which is never
     a zero or a sign change, or -inf at its edge, whose false sign change
     G rules out; so it prints no RuntimeWarning, and a caller's
-    over="raise" does not reach them.  A budget ratio whose root interval is not finite
-    is reported, not solved.  The scan is sampled: two roots inside one cell
-    cancel out and are not located, so "highest leader utility" ranges
-    over the located roots only, not over every equilibrium.
+    over="raise" does not reach them.  A budget ratio whose root interval
+    is not finite, or underflows to 0, is reported, not solved.  The scan
+    is sampled: two roots inside one cell cancel out and are not located,
+    so "highest leader utility" ranges over the located roots only, not
+    over every equilibrium.
     Raises SolverInvariantError when no root survives, or when brentq does
     not converge in a cell.  The raised error holds its message, not the
     solve's arrays: it is raised from a frame that never held the scan
@@ -268,10 +273,11 @@ def _solve(instance: GameInstance) -> NashSolution | str:
     r = game.budget_a / game.budget_b
     lo = float(rho.min()) * r
     hi = float(rho.max()) * r
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (0 < lo and hi < math.inf):
+        flow, fault = ("overflows", "finite") if hi == math.inf else ("underflows", "positive")
         return (
-            f"the budget ratio r = budget_a / budget_b = {game.budget_a:.6g} / {game.budget_b:.6g} overflows: "
-            f"the root interval [r * min rho, r * max rho] = [{lo:.6g}, {hi:.6g}] is not finite"
+            f"the budget ratio r = budget_a / budget_b = {game.budget_a:.6g} / {game.budget_b:.6g} {flow}: "
+            f"the root interval [r * min rho, r * max rho] = [{lo:.6g}, {hi:.6g}] is not {fault}"
         )
 
     if lo == hi:  # one ratio class: the root is the interval itself

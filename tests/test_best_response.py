@@ -12,8 +12,14 @@ from blotto import (
     follower_marginal_utility,
     total_utility,
 )
+from blotto.best_response import _reply
 from blotto.commitment import threshold_allocation_outside_support
-from conftest import random_instance, random_positive_allocation, worked_example_instance
+from conftest import (
+    extreme_instance,
+    random_instance,
+    random_positive_allocation,
+    worked_example_instance,
+)
 
 
 def follower_utility(inst, leader, follower):
@@ -130,6 +136,21 @@ class TestBestResponse:
         u0 = follower_utility(inst, leader, base.allocation)
         u1 = follower_utility(scaled_inst, scaled_leader, scaled.allocation)
         assert u1 == pytest.approx(u0, rel=1e-9)
+
+    def test_reply_is_best_response_on_the_swapped_game(self):
+        # nash._mutual_br's leader side: _reply on values_a and budget_a
+        # gives best_response's reply on the swapped game, byte for byte.
+        for inst in [random_instance(np.random.default_rng(seed), n)
+                     for n in (2, 16, 128) for seed in range(10)] + [
+                     extreme_instance(seed, 6) for seed in range(30)]:
+            rng = np.random.default_rng(inst.n)
+            follower = random_positive_allocation(rng, inst.n, inst.budget_b)
+            swapped = GameInstance(inst.budget_b, inst.budget_a, inst.values_b, inst.values_a)
+            expected = best_response(swapped, follower)
+            reply, *_, water_level = _reply(inst.values_a, inst.budget_a, follower.amounts)
+            assert reply.amounts.tobytes() == expected.allocation.amounts.tobytes()
+            assert reply.budget == expected.allocation.budget
+            assert water_level == expected.water_level
 
 
 class TestFollowerMarginalUtility:

@@ -34,10 +34,15 @@ TOP_OF_RANGE = {
         "budget_a": 1, "budget_b": 1, "values_a": [1e308, 1.5e308], "values_b": [1e308, 1.6e308],
     },
 }
+# A valid game at the bottom of the float range: r = x_a / x_b underflows to 0.
+BOTTOM_OF_RANGE = {
+    "budget-1e-308": {"budget_a": 1e-308, "budget_b": 1e308, "values_a": [1, 2], "values_b": [1, 3]},
+}
 
 # What the one-line failure must say, beyond "solver invariant failure".
 OVERFLOW_MESSAGES = {
     ("budget-1e308", "solve-nash"): "the budget ratio r = budget_a / budget_b = 1e+308 / 1e-308 overflows",
+    ("budget-1e-308", "solve-nash"): "the budget ratio r = budget_a / budget_b = 1e-308 / 1e+308 underflows",
 }
 
 
@@ -195,13 +200,17 @@ class TestSolveCommitment:
         ("values-1e308", "solve-nash", 0),
         ("budget-1e308", "solve-commitment", 3),
         ("budget-1e308", "solve-nash", 3),
+        ("budget-1e-308", "solve-commitment", 3),
+        ("budget-1e-308", "solve-nash", 3),
     ])
     def test_expected_overflow_prints_only_the_failure(self, tmp_path, game, command, code):
         # `gen --n 3 --seed 2` times 1e100: CASE_2_2 overflows on the way to
         # exit 3; the two games at the top of the float range overflow in
         # the case coefficients, the water filling's ratios and the Nash
         # reconstruction, and the budget game's ratio r overflows, so Nash
-        # has no finite root interval.  numpy's RuntimeWarnings must not
+        # has no finite root interval.  At the bottom of the range r
+        # underflows to 0, the root interval is [0, 0], and the water
+        # filling's spend / root_sum overflows.  numpy's RuntimeWarnings must not
         # reach the console: stderr is the one-line failure, or empty on
         # exit 0.  A fresh process, because pytest captures warnings.
         if game == "gen-1e100":
@@ -213,7 +222,7 @@ class TestSolveCommitment:
             for key in ("values_a", "values_b"):
                 data[key] = [v * 1e100 for v in data[key]]
         else:
-            data = TOP_OF_RANGE[game]
+            data = {**TOP_OF_RANGE, **BOTTOM_OF_RANGE}[game]
         path = write_json(tmp_path, "huge.json", data)
         result = subprocess.run(
             [sys.executable, "-m", "blotto.cli", command, "--instance", path],

@@ -570,6 +570,7 @@ class TestRatioQuotient:
         alloc = random_positive_allocation(np.random.default_rng(4), 64, inst.budget_a)
         assert quotient.game is inst
         spread = quotient.spread(alloc)
+        assert spread is alloc
         assert spread.budget == alloc.budget
         assert spread.amounts.tobytes() == alloc.amounts.tobytes()
 

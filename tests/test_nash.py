@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from blotto import (
+    Allocation,
     GameInstance,
     InputError,
+    PreconditionError,
     SolverInvariantError,
     best_response,
     check_coincidence,
@@ -519,6 +521,107 @@ class TestBracket:
         kept = nash._bracket(inst, solve_grid(inst))
         assert kept.stop - kept.start > nash.SCAN_CELLS // 2
         assert solve_nash(inst).candidate_roots == roots_in_kept_cells(inst)
+
+
+def reference_bracket(game, grid):
+    """_bracket as it was with numpy ends: np.clip, np.abs(...).max() and
+    np.isfinite(...).all() on a (2,) array, a new (2, n) array per step."""
+    rho = game.values_b / game.values_a
+    r = game.budget_a / game.budget_b
+    cell = grid[1] - grid[0]
+    ends = grid[[0, -1]]
+    for _ in range(2 * nash.SCAN_CELLS):
+        w = game.values_b / np.square(ends[:, None] + rho)
+        mapped = r * (w @ rho) / w.sum(axis=1)
+        if not (np.isfinite(mapped).all() and mapped[0] <= mapped[1]):
+            break
+        inward = np.clip(mapped, ends[0], ends[1])
+        moved, ends = np.abs(inward - ends).max(), inward
+        if moved < cell:
+            break
+    first = max(0, int(np.searchsorted(grid, ends[0], "right")) - 2)
+    last = min(grid.size - 1, int(np.searchsorted(grid, ends[1])) + 1)
+    return slice(first, last + 1)
+
+
+def reference_mutual_br(game, alloc_a, alloc_b):
+    """_mutual_br as it was: the leader's reply is best_response on the
+    game with the two players swapped."""
+    reply_b = best_response(game, alloc_a).allocation
+    if np.max(np.abs(reply_b.amounts - alloc_b.amounts)) > nash.MUTUAL_BR_RTOL * game.budget_b:
+        return False
+    swapped = GameInstance(game.budget_b, game.budget_a, game.values_b, game.values_a)
+    reply_a = best_response(swapped, alloc_b).allocation
+    return bool(
+        np.max(np.abs(reply_a.amounts - alloc_a.amounts)) <= nash.MUTUAL_BR_RTOL * game.budget_a
+    )
+
+
+def decision(call, *args):
+    """call(*args), or the class of the InputError it raises."""
+    try:
+        return call(*args)
+    except InputError as exc:
+        return type(exc)
+
+
+def parity_draws():
+    """`gen` draws at n 2-2048, log-uniform draws, extreme_instance draws
+    at 1e+-6, and `gen --n 8` draws whose budget ratio x_a / x_b is 1e+-4,
+    1e+-8 and 1e+-10."""
+    for n, seeds in [(2, 20), (16, 10), (128, 6), (512, 3), (2048, 2)]:
+        for seed in range(seeds):
+            yield random_instance(np.random.default_rng(seed), n)
+    for seed in range(40):
+        yield log_uniform_instance(seed)
+        yield extreme_instance(seed, 6)
+    for exponent in (-10, -8, -4, 4, 8, 10):
+        for seed in range(4):
+            inst = random_instance(np.random.default_rng(seed), 8)
+            yield GameInstance(inst.budget_b * 10.0**exponent, inst.budget_b,
+                               inst.values_a, inst.values_b)
+
+
+def parity_profiles(game):
+    """Profiles for the mutual-best-response check: the reconstruction at
+    each root in the bracket's cells, and its alloc_a moved toward the even
+    split by 1e-7 and by 1e-5 of the budget, paired with alloc_b and with
+    the follower's own reply, which always reaches the leader's side."""
+    for mu in roots_in_kept_cells(game):
+        try:
+            alloc_a, alloc_b = nash._reconstruct(game, mu)
+        except InputError:
+            continue
+        yield alloc_a, alloc_b
+        for t in (1e-7, 1e-5):
+            moved = (1 - t) * alloc_a.amounts + t * game.budget_a / game.n
+            moved_a = Allocation(moved, game.budget_a)
+            yield moved_a, alloc_b
+            try:
+                yield moved_a, best_response(game, moved_a).allocation
+            except InputError:
+                continue
+
+
+class TestSuccessPathParity:
+    def test_bracket_and_mutual_br_match_the_numpy_references(self):
+        # Bit for bit: the float bracket keeps the reference's slice, and
+        # the leader's reply through _reply decides every profile as the
+        # swapped best_response did, exceptions included.
+        seen = set()
+        for inst in parity_draws():
+            game = ratio_quotient(inst).game
+            grid = solve_grid(game)
+            if grid[0] == grid[-1]:
+                continue
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                assert nash._bracket(game, grid) == reference_bracket(game, grid), inst
+            for alloc_a, alloc_b in parity_profiles(game):
+                expected = decision(reference_mutual_br, game, alloc_a, alloc_b)
+                assert decision(nash._mutual_br, game, alloc_a, alloc_b) == expected, inst
+                seen.add(expected)
+        # Both verdicts and both ways a root is dropped are exercised.
+        assert seen == {True, False, InputError, PreconditionError}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

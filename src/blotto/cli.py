@@ -7,20 +7,31 @@ solve-br), reports are JSON, sweeps are CSV.  Exit status 0 on success, 2
 on input errors, 3 on solver-invariant failures.  Identical inputs always
 produce byte-identical outputs.
 
+Reports are the library's result types: solve-br prints a
+BestResponseResult, solve-commitment a CommitmentSolution, solve-nash a
+NashSolution and compare a ComparisonReport, each through one rule
+(_report): a dataclass is the dict of its fields, an Allocation the list of
+its amounts, a tuple a list.  So a report lists exactly its type's fields; a
+field added to a result type shows in the report, and the golden replay
+(tests/test_golden.py) flags it.  The three commands that only solve the
+instance share _cmd_solve, which reads its solver's name from _SOLVERS;
+solve-br has its own command for the "commit_a" it reads.
+
 What loads when: this module loads what ``import blotto`` loads (the data
-model and the best response).  Every other solver it calls loads on the
-first access to its name here (see __getattr__), so each command compiles
-only the modules it runs: solve-commitment loads blotto.commitment,
-solve-nash blotto.nash, compare and sweep blotto.analysis (with commitment
-and nash), verify blotto.commitment and blotto.oracle, and solve-br and gen
-nothing more.  Commands look those solvers up on this module when they
-run, so a solver patched here, as a test or the benchmark tracer does, is
-the one called.
+model and the best response).  Any other public name of the package
+resolves through the package on its first access here (see __getattr__),
+so each command compiles only the modules it runs: solve-commitment loads
+blotto.commitment, solve-nash blotto.nash, compare and sweep
+blotto.analysis (with commitment and nash), verify blotto.commitment and
+blotto.oracle, and solve-br and gen nothing more.  Commands look those
+solvers up on this module when they run, so a solver patched here, as a
+test or the benchmark tracer does, is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -40,26 +51,17 @@ from .game_core import (
     total_utility,
 )
 
-# Names from the solver modules that load on first use, and this module as
-# the commands see it (it is __main__ under ``python -m blotto.cli``).
-_LAZY = frozenset({
-    "GridSpec",
-    "budget_sweep",
-    "compare_equilibria",
-    "optimal_commitment",
-    "oracle_best_response",
-    "oracle_commitment",
-    "solve_nash",
-    "write_sweep_csv",
-})
+# The package, and this module as the commands see it (it is __main__
+# under ``python -m blotto.cli``).
+_package = sys.modules[__package__]
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """A solver, loaded through the package on the first access to its name."""
-    if name not in _LAZY:
+    """A public name of the package, loaded through it on first access."""
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
+    return getattr(_package, name)
 
 
 EXIT_OK = 0
@@ -106,31 +108,16 @@ def _dump(payload: dict, output_path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output_path)
 
 
-def _alloc_list(alloc: Allocation) -> list[float]:
-    return [float(x) for x in alloc.amounts]
-
-
-def _commitment_payload(solution) -> dict:
-    return {
-        "allocation": _alloc_list(solution.allocation),
-        "support": list(solution.support),
-        "case_tag": solution.case_tag,
-        "alpha": solution.alpha,
-        "y": solution.y,
-        "leader_utility": solution.leader_utility,
-        "follower_utility": solution.follower_utility,
-    }
-
-
-def _nash_payload(solution) -> dict:
-    return {
-        "mu_star": solution.mu_star,
-        "alloc_a": _alloc_list(solution.alloc_a),
-        "alloc_b": _alloc_list(solution.alloc_b),
-        "leader_utility": solution.leader_utility,
-        "follower_utility": solution.follower_utility,
-        "candidate_roots": list(solution.candidate_roots),
-    }
+def _report(value):
+    """A result as JSON data: a dataclass is the dict of its fields, an
+    Allocation the list of its amounts, a tuple a list."""
+    if isinstance(value, Allocation):
+        return value.amounts.tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _report(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_report(x) for x in value]
+    return value
 
 
 def _cmd_solve_br(args: argparse.Namespace) -> int:
@@ -144,43 +131,21 @@ def _cmd_solve_br(args: argparse.Namespace) -> int:
         commit = Allocation(raw["commit_a"], instance.budget_a)
     except InputError as exc:
         raise InputError(f"{args.instance}: commit_a: {exc}") from exc
-    result = best_response(instance, commit)
-    _dump(
-        {
-            "allocation": _alloc_list(result.allocation),
-            "support": list(result.support),
-            "water_level": result.water_level,
-        },
-        args.out,
-    )
+    _dump(_report(best_response(instance, commit)), args.out)
     return EXIT_OK
 
 
-def _cmd_solve_commitment(args: argparse.Namespace) -> int:
+# Each command that only solves the instance, by the name of its solver.
+_SOLVERS = {
+    "solve-commitment": "optimal_commitment",
+    "solve-nash": "solve_nash",
+    "compare": "compare_equilibria",
+}
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
     instance, _ = _load_instance(args.instance)
-    _dump(_commitment_payload(_cli.optimal_commitment(instance)), args.out)
-    return EXIT_OK
-
-
-def _cmd_solve_nash(args: argparse.Namespace) -> int:
-    instance, _ = _load_instance(args.instance)
-    _dump(_nash_payload(_cli.solve_nash(instance)), args.out)
-    return EXIT_OK
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    instance, _ = _load_instance(args.instance)
-    report = _cli.compare_equilibria(instance)
-    _dump(
-        {
-            "se": _commitment_payload(report.se),
-            "ne": _nash_payload(report.ne),
-            "leader_ratio": report.leader_ratio,
-            "follower_ratio": report.follower_ratio,
-            "cor1_upper": report.cor1_upper,
-        },
-        args.out,
-    )
+    _dump(_report(getattr(_cli, _SOLVERS[args.command])(instance)), args.out)
     return EXIT_OK
 
 
@@ -280,9 +245,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "solve-br": _cmd_solve_br,
-    "solve-commitment": _cmd_solve_commitment,
-    "solve-nash": _cmd_solve_nash,
-    "compare": _cmd_compare,
+    **dict.fromkeys(_SOLVERS, _cmd_solve),
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "gen": _cmd_gen,

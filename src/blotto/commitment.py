@@ -636,17 +636,21 @@ def solve_case2_partial_support(instance: GameInstance, k: int) -> CandidateDraf
     return _draft(instance, k, amounts, CASE_2_2, best_alpha, y)
 
 
-def _noted(call, *args):
+def _noted(case_tag: str, call, *args):
     """(call(*args), None), or (None, note) when it raises at extreme
-    scales.  call solves or round-trips a prefix of a valid quotient, so
-    these errors come from a candidate's own numbers: a float overflows
-    (OverflowError) or the spend is not a valid allocation (non-finite, or a
-    zero that underflowed)."""
+    scales.  call solves or round-trips a prefix of a valid quotient in
+    case case_tag, so these errors come from a candidate's own numbers: a
+    float overflows (OverflowError) or the spend is not a valid allocation
+    (non-finite, or a zero that underflowed).  An arithmetic note names the
+    case and the error's message, not its args tuple: a float ** overflow's
+    is an (errno, message) pair."""
     try:
         return call(*args), None
     except SolverInvariantError as exc:
         return None, str(exc)
-    except (ArithmeticError, InputError) as exc:
+    except ArithmeticError as exc:
+        return None, f"{type(exc).__name__} in {case_tag}: {exc.args[-1]}"
+    except InputError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -655,11 +659,11 @@ def _prefix_draft(quotient: GameInstance, k: int) -> tuple[CandidateDraft | None
     whose adjacent ratios all differ (a ratio_quotient in canonical order),
     or (None, reason).  Only the first prefix is one ratio class."""
     if k == 1:
-        draft, reason = _noted(solve_case1, quotient, k)
+        draft, reason = _noted(CASE_1, solve_case1, quotient, k)
     elif k == quotient.n:
-        draft, reason = _noted(solve_case2_full_support, quotient)
+        draft, reason = _noted(CASE_2_1, solve_case2_full_support, quotient)
     else:
-        draft, reason = _noted(solve_case2_partial_support, quotient, k)
+        draft, reason = _noted(CASE_2_2, solve_case2_partial_support, quotient, k)
     if draft is None and reason is None:
         return None, "infeasible"
     return draft, reason
@@ -677,7 +681,7 @@ def _round_trip(
         alloc = Allocation(draft.amounts, quotient.budget_a)
         return alloc, best_response(quotient, alloc)
 
-    done, reason = _noted(trip)
+    done, reason = _noted(draft.case_tag, trip)
     if done is None:
         return None, reason
     alloc, reply = done

@@ -19,12 +19,13 @@ from blotto import (
     GameInstance,
     SolverInvariantError,
     best_response,
+    check_coincidence,
     compare_equilibria,
     optimal_commitment,
     solve_nash,
 )
-from blotto.cli import main
-from conftest import fresh_process_env
+from blotto.cli import _report, main
+from conftest import fresh_process_env, random_instance
 
 CROSSING_RATIO = 1.694050881103528  # budget ratio where SE and NE coincide
 # Two valid games at the top of the float range.
@@ -43,6 +44,7 @@ BOTTOM_OF_RANGE = {
 OVERFLOW_MESSAGES = {
     ("budget-1e308", "solve-nash"): "the budget ratio r = budget_a / budget_b = 1e+308 / 1e-308 overflows",
     ("budget-1e-308", "solve-nash"): "the budget ratio r = budget_a / budget_b = 1e-308 / 1e+308 underflows",
+    ("budget-1e-308", "solve-commitment"): "K=[0..0]: OverflowError in CASE_1: Numerical result out of range;",
 }
 
 
@@ -522,6 +524,92 @@ def test_each_command_calls_the_solver_patched_on_the_cli_module(
     })
     assert main([argv[0], "--instance", path, *argv[1:], "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"solver invariant failure: patched {name}\n"
+
+
+# The report builders the CLI had before _report, one per result type,
+# each listing its type's fields by hand.
+def reference_alloc(alloc):
+    return [float(x) for x in alloc.amounts]
+
+
+def reference_best_response(result):
+    return {
+        "allocation": reference_alloc(result.allocation),
+        "support": list(result.support),
+        "water_level": result.water_level,
+    }
+
+
+def reference_commitment(solution):
+    return {
+        "allocation": reference_alloc(solution.allocation),
+        "support": list(solution.support),
+        "case_tag": solution.case_tag,
+        "alpha": solution.alpha,
+        "y": solution.y,
+        "leader_utility": solution.leader_utility,
+        "follower_utility": solution.follower_utility,
+    }
+
+
+def reference_nash(solution):
+    return {
+        "mu_star": solution.mu_star,
+        "alloc_a": reference_alloc(solution.alloc_a),
+        "alloc_b": reference_alloc(solution.alloc_b),
+        "leader_utility": solution.leader_utility,
+        "follower_utility": solution.follower_utility,
+        "candidate_roots": list(solution.candidate_roots),
+    }
+
+
+def reference_comparison(report):
+    return {
+        "se": reference_commitment(report.se),
+        "ne": reference_nash(report.ne),
+        "leader_ratio": report.leader_ratio,
+        "follower_ratio": report.follower_ratio,
+        "cor1_upper": report.cor1_upper,
+    }
+
+
+WORKED = GameInstance(2.0, 1.0, np.array([1.0, 5.0]), np.array([1.0, 0.5]))
+PARITY_GAMES = {
+    # name: (game, the case of its commitment).  `gen --n N --seed S` draws
+    # the same game as random_instance(rng(S), N).
+    "gen-64-seed-0": (lambda: random_instance(np.random.default_rng(0), 64), "CASE_2_2"),
+    "gen-512-seed-1": (lambda: random_instance(np.random.default_rng(1), 512), "CASE_2_2"),
+    # v_a / v_b = 1, 1, 10, 1: the quotient merges three battlefields and
+    # the commitment spreads its class over them
+    "tied-ratios": (lambda: GameInstance(
+        1.0, 1.0, np.array([1.0, 2.0, 5.0, 3.0]), np.array([1.0, 2.0, 0.5, 3.0])
+    ), "CASE_1"),
+    "worked-at-threshold": (lambda: GameInstance(
+        check_coincidence(WORKED).threshold, 1.0, WORKED.values_a, WORKED.values_b
+    ), "CASE_2_1"),
+    "case-1-winner": (lambda: random_instance(np.random.default_rng(0), 1), "CASE_1"),
+    "case-2-1-winner": (lambda: random_instance(np.random.default_rng(0), 2), "CASE_2_1"),
+    "case-2-2-winner": (lambda: random_instance(np.random.default_rng(1), 4), "CASE_2_2"),
+}
+
+
+@pytest.mark.parametrize("game, case_tag", PARITY_GAMES.values(), ids=PARITY_GAMES.keys())
+def test_each_report_is_byte_identical_to_its_hand_built_payload(game, case_tag):
+    # _report reads a result's fields; the builders it replaced listed them
+    # by hand.  Beyond the golden corpus: every result type of one game.
+    inst = game()
+    report = compare_equilibria(inst)
+    assert report.se.case_tag == case_tag
+    reply = best_response(inst, report.se.allocation)
+    for result, reference in [
+        (report, reference_comparison),
+        (report.se, reference_commitment),
+        (report.ne, reference_nash),
+        (reply, reference_best_response),
+    ]:
+        assert json.dumps(_report(result), indent=2, sort_keys=True) == json.dumps(
+            reference(result), indent=2, sort_keys=True
+        )
 
 
 class TestInputErrors:

@@ -95,6 +95,11 @@ def test_public_name_is_the_object_of_its_home_module(name):
     assert getattr(importlib.import_module(home), name) is value
 
 
+@pytest.mark.parametrize("name", blotto.__all__)
+def test_cli_resolves_each_public_name_through_the_package(name):
+    assert getattr(blotto.cli, name) is getattr(blotto, name)
+
+
 def test_star_import_and_dir_cover_every_public_name():
     script = (
         "import blotto\n"

@@ -76,15 +76,20 @@ _TABLE_RTOL.  The k = 1 and k = n rows score the CASE_1 and CASE_2_1
 spends.  The prefixes are then solved by the case solvers, in descending
 order of score, only while the score stays in a band below the best
 valid utility so far; each solved draft is round-tripped unless its
-margin rules K out, and the valid candidates are folded in ascending k
-with the tie rule below.  Nothing outside the band could have changed
-that fold, so the result is the one that solving and round-tripping every
-prefix gives, bit for bit (optimal_commitment's docstring has the
-argument).  A solved draft that may be valid and beats its row shows
-that the table missed its maximum, and the search stops pruning.  With
-no valid candidate there is no band: every prefix is solved once, and
-SolverInvariantError reports each one's outcome.  The CASE_2_2 scan and
-golden-section search still give the commitment of each solved prefix.
+margin rules K out.  Ties go to the larger support: a valid prefix
+displaces a smaller one whose leader utility it beats or trails by at
+most TIE_RTOL relative (_displaces).  The search keeps the utility of
+every valid prefix, but a candidate only while no larger valid prefix
+displaces it, and the least prefix it holds wins: the winner of a fold
+over the valid candidates in ascending k, whatever order they arrive in.
+Nothing outside the band could have changed that fold, so the result is
+the one that solving and round-tripping every prefix gives, bit for bit
+(optimal_commitment's docstring has both arguments).  A solved draft
+that may be valid and beats its row shows that the table missed its
+maximum, and the search stops pruning.  With no valid candidate there is
+no band: every prefix is solved once, and SolverInvariantError reports
+each one's outcome.  The CASE_2_2 scan and golden-section search still
+give the commitment of each solved prefix.
 """
 
 from __future__ import annotations
@@ -822,6 +827,13 @@ def _prefix_table(game: GameInstance) -> np.ndarray:
     return scores * scale
 
 
+def _displaces(u: float, v: float) -> bool:
+    """The tie rule: a valid prefix with leader utility u displaces a
+    smaller valid prefix with utility v when u is at most TIE_RTOL * max(|u|,
+    |v|) below v, so ties go to the larger support."""
+    return u - v >= -TIE_RTOL * max(abs(u), abs(v))
+
+
 def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     """Best leader commitment over all prefix support candidates.
 
@@ -839,13 +851,27 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     keep, with top the best valid utility so far and keep = 1 - 2 *
     _TABLE_RTOL - (n + 2) * TIE_RTOL (n prefixes).  While no candidate is
     valid, top is -inf and no row stops the search, the -inf rows
-    included.  The valid candidates are folded in ascending k, as if every
-    prefix had been solved and round-tripped, and the result is the same
-    bit for bit.  The fold replaces its best whenever a candidate is at
-    most TIE_RTOL * max(|u|, |best|) below it, so it always takes the
-    (first) maximum u_max, and after it each replacement lowers the best
-    by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n - 1) *
-    TIE_RTOL).  A prefix left unsolved cannot change the fold:
+    included.
+
+    The result is, bit for bit, what a fold over every valid candidate in
+    ascending k returns when every prefix is solved and round-tripped.
+    The fold replaces its best whenever a candidate displaces it: is at
+    most TIE_RTOL * max(|u|, |best|) below it (_displaces).  So it always
+    takes the (first) maximum u_max, and after it each replacement lowers
+    the best by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n -
+    1) * TIE_RTOL).  The search runs no fold.  It keeps utility[k] for
+    each valid prefix k, and holds the valid candidates that no larger
+    valid prefix displaces: a valid candidate that arrives drops every
+    held smaller prefix it displaces, and is held only if no larger prefix
+    in utility displaces it.  The least held prefix is the fold's winner w:
+    * The fold never moves off w, so no later prefix displaces w, and w is
+      held.
+    * No smaller prefix k is held.  If the fold took k, it would have
+      stopped there unless a larger prefix displaced k.  If the fold
+      skipped k, k was more than TIE_RTOL below the best b of the time,
+      and the first prefix the fold took after k came within TIE_RTOL of
+      b, so it has at least k's utility and displaces k.
+    A prefix left unsolved cannot change the fold:
     * Its solver maximizes u_hat over the feasible set whose maximum the
       table's candidates contain.  So the draft sits at the row's best
       candidate, with a score within _TABLE_RTOL of the row's, or below
@@ -893,14 +919,17 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
     scores = _prefix_table(game)
     keep = 1 - 2 * _TABLE_RTOL - (game.n + 2) * TIE_RTOL
-    valid: dict[int, CommitmentSolution] = {}
+    # the leader utility of each valid prefix, and the valid candidates that
+    # no larger valid prefix displaces: the winner is the least held prefix
+    utility: dict[int, float] = {}
+    held: dict[int, CommitmentSolution] = {}
     # why prefix k gives no candidate: a reason, or the draft its margin
     # skips, round-tripped only for the error message (None once valid)
     dropped: dict[int, str | CandidateDraft | None] = {}
-    top, prune = -math.inf, True
+    prune = True
     for k in (np.argsort(-scores, kind="stable") + 1).tolist():
         score = float(scores[k - 1])
-        if prune and score < top * keep:
+        if prune and score < max(utility.values(), default=-math.inf) * keep:
             break
         draft, reason = _prefix_draft(game, k)
         # a draft that may be valid beats its row: the table missed its maximum
@@ -912,21 +941,17 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
             continue
         cand, dropped[k] = _round_trip(game, k, draft)
         if cand is not None:
-            valid[k] = cand
-            top = max(top, cand.leader_utility)
-    if not valid:  # top stayed -inf, so every prefix was solved
+            u = utility[k] = cand.leader_utility
+            held = {j: c for j, c in held.items() if j > k or not _displaces(u, utility[j])}
+            if not any(_displaces(v, u) for j, v in utility.items() if j > k):
+                held[k] = cand
+    if not held:  # no utility bounded the band, so every prefix was solved
         notes = "; ".join(
             f"K=[0..{ends[k - 1] - 1}]: {why if isinstance(why, str) else _round_trip(game, k, why)[1]}"
             for k, why in sorted(dropped.items())
         )
         return f"no valid commitment candidate; per-prefix outcomes: {notes}"
-    best_k = min(valid)
-    for k in sorted(valid):
-        u, u_best = valid[k].leader_utility, valid[best_k].leader_utility
-        # ties go to the larger support: k >= best_k in the ascending fold
-        if u - u_best >= -TIE_RTOL * max(abs(u), abs(u_best)):
-            best_k = k
-    best = valid[best_k]
+    best_k, best = min(held.items())  # keys differ: no candidates are compared
     amounts = ordering.to_original(quotient.spread(best.allocation).amounts)
     support = tuple(sorted(int(j) for j in ordering.permutation[: ends[best_k - 1]]))
     return replace(best, allocation=Allocation(amounts, instance.budget_a), support=support)

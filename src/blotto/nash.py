@@ -217,7 +217,8 @@ def _mutual_br(instance: GameInstance, alloc_a: Allocation, alloc_b: Allocation)
     best_response's; the leader's is the same water filling with the
     players' roles swapped (_reply on values_a and budget_a).  Raises
     PreconditionError when the other player's allocation has a zero
-    entry, and InputError when a reply is not a valid allocation."""
+    entry, InputError when a reply is not a valid allocation, and
+    SolverInvariantError when a reply's support is empty in floats."""
     reply_b = best_response(instance, alloc_a).allocation
     if np.max(np.abs(reply_b.amounts - alloc_b.amounts)) > MUTUAL_BR_RTOL * instance.budget_b:
         return False
@@ -317,7 +318,7 @@ def _solve(instance: GameInstance) -> NashSolution | str:
             alloc_a, alloc_b = _reconstruct(game, mu)
             if _mutual_br(game, alloc_a, alloc_b):
                 candidates.append((mu, alloc_a, alloc_b))
-        except InputError:  # not a valid, strictly positive allocation pair
+        except (InputError, SolverInvariantError):  # an invalid pair, or an empty reply support
             continue
     if not candidates:
         listed = roots[:_ROOTS_IN_MESSAGE]

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -974,6 +975,97 @@ class TestPrefixBounds:
                 scores = _prefix_table(_quotient(inst))
             assert not np.isnan(scores).any()
             assert np.isfinite(scores).any()
+
+
+def _ascending_fold(utility):
+    """The prefix the tie rule picks from {valid prefix k: leader utility}:
+    folded in ascending k, each prefix replaces the best so far when it is
+    at most TIE_RTOL below it."""
+    best = None
+    for k in sorted(utility):
+        u = utility[k]
+        if best is None or u - utility[best] >= -TIE_RTOL * max(abs(u), abs(utility[best])):
+            best = k
+    return best
+
+
+class TestHeldCandidates:
+    """optimal_commitment keeps the leader utility of every valid prefix,
+    but a candidate only while no larger valid prefix displaces it, and
+    returns the least one it holds: the ascending fold's winner, whatever
+    order the prefixes arrive in."""
+
+    GAME = random_instance(np.random.default_rng(0), 6)  # blotto gen --n 6 --seed 0
+
+    @classmethod
+    def search(cls, monkeypatch, utility, order):
+        """optimal_commitment on GAME with synthetic rows: the prefixes are
+        solved in the given order (the rest after it), prefix k is valid
+        with leader utility utility[k] when it has one, and infeasible
+        otherwise.  Returns the solution and the solve order."""
+        n, budget = cls.GAME.n, cls.GAME.budget_a
+        order = [*order, *(k for k in range(1, n + 1) if k not in order)]
+        scores = np.empty(n)
+        scores[np.array(order) - 1] = np.arange(n, 0, -1) * 10.0  # far above every utility
+        amounts = np.full(n, budget / n)
+        solved = []
+
+        def solve(game, k):
+            solved.append(k)
+            if k not in utility:
+                return None, "infeasible"
+            return commitment.CandidateDraft(amounts, "CASE_2_2", None, None, 0.0, 0.0), None
+
+        def trip(game, k, draft):
+            alloc = Allocation(amounts, budget)
+            cand = commitment.CommitmentSolution(alloc, tuple(range(k)), "CASE_2_2", None, None, utility[k], 0.0)
+            return cand, None
+
+        monkeypatch.setattr(commitment, "_prefix_table", lambda game: scores)
+        monkeypatch.setattr(commitment, "_prefix_draft", solve)
+        monkeypatch.setattr(commitment, "_round_trip", trip)
+        return optimal_commitment(cls.GAME), solved
+
+    def check(self, monkeypatch, utility, orders):
+        want = _ascending_fold(utility)
+        for order in orders:
+            sol, solved = self.search(monkeypatch, utility, order)
+            assert solved[: len(order)] == list(order)
+            assert (len(sol.support), sol.leader_utility) == (want, utility[want]), order
+        return want
+
+    def test_a_chain_of_ties_drifts_past_tie_rtol(self, monkeypatch):
+        # Each step is within TIE_RTOL, the chain drifts 2.4 * TIE_RTOL: the
+        # fold walks to the end, past prefix 2, the largest within
+        # TIE_RTOL of the maximum.
+        utility = {k: 1.0 - (k - 1) * 0.6 * TIE_RTOL for k in range(1, 6)}
+        assert utility[1] - utility[5] > 2 * TIE_RTOL
+        assert self.check(monkeypatch, utility, itertools.permutations(utility)) == 5
+
+    def test_a_later_near_tie_displaces_the_maximum(self, monkeypatch):
+        utility = {1: 0.9, 2: 1.0, 3: 0.5, 4: 1.0 - 0.5 * TIE_RTOL, 6: 0.2}
+        assert self.check(monkeypatch, utility, itertools.permutations(utility)) == 4
+
+    def test_a_larger_prefix_arriving_first_holds_a_smaller_maximum(self, monkeypatch):
+        # In the orders that start with 5, 5 displaces 2 before 2 arrives;
+        # 3 beats 2 by more than 5 trails it, so 5 does not displace 3, and
+        # 3 wins.
+        utility = {2: 1.0, 3: 1.0 + 2 * TIE_RTOL, 5: 1.0 - 0.5 * TIE_RTOL}
+        assert self.check(monkeypatch, utility, itertools.permutations(utility)) == 3
+
+    def test_a_solve_holds_memory_linear_in_n(self):
+        # blotto gen --n 4096 --seed 0, warm.  Holding a candidate for every
+        # valid prefix peaked at 278 arrays of n floats; holding only the
+        # undisplaced ones peaks at about 48.
+        inst = random_instance(np.random.default_rng(0), 4096)
+        optimal_commitment(inst)
+        tracemalloc.start()
+        try:
+            optimal_commitment(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 8 * inst.n
 
 
 def _scaled(inst, values=1.0, budgets=1.0, values_a=1.0):

@@ -237,6 +237,23 @@ class TestSolverFailures:
             with pytest.raises(SolverInvariantError, match="no root of f reconstructs"):
                 solve_nash(inst)
 
+    def test_a_root_with_an_empty_reply_support_is_dropped(self):
+        # The only root rebuilds a follower allocation whose first entry
+        # swallows budget_a (budget_a + x == x in floats), so water filling
+        # gives the leader's reply an empty support and _reply raises its
+        # own invariant error.  The root is dropped like any other root
+        # that does not reconstruct a mutual best response.
+        inst = extreme_instance(295, 12)
+        game = ratio_quotient(inst).game
+        alloc_a, alloc_b = nash._reconstruct(game, 1.4470036034011057e-33)
+        with pytest.raises(SolverInvariantError, match="empty best-response support"):
+            nash._mutual_br(game, alloc_a, alloc_b)
+        with pytest.raises(SolverInvariantError) as info:
+            solve_nash(inst)
+        assert str(info.value) == (
+            "no root of f reconstructs a mutual best response; roots=[1.4470036034011057e-33]"
+        )
+
     @staticmethod
     def roots_message(inst):
         """The "no root ... reconstructs" message for an instance whose f

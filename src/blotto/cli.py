@@ -79,8 +79,8 @@ GEN_LOW, GEN_HIGH = 0.1, 10.0
 
 def _load_instance(path: str) -> tuple[GameInstance, dict]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read instance file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -88,6 +88,8 @@ def _load_instance(path: str) -> tuple[GameInstance, dict]:
         raise InputError(
             f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: cannot parse JSON: {exc}") from exc
     try:
         return instance_from_dict(data), data
     except InputError as exc:

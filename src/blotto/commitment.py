@@ -73,23 +73,23 @@ the final truncation radius on either side.  Each feasible candidate gets
 _draft's score and margin in closed form from the prefix sums, and a
 row's score is the best score among its candidates with margin below 1 +
 _TABLE_RTOL.  The k = 1 and k = n rows score the CASE_1 and CASE_2_1
-spends.  The prefixes are then solved by the case solvers, in descending
-order of score, only while the score stays in a band below the best
-valid utility so far; each solved draft is round-tripped unless its
-margin rules K out.  Ties go to the larger support: a valid prefix
-displaces a smaller one whose leader utility it beats or trails by at
-most TIE_RTOL relative (_displaces).  The search keeps the utility of
-every valid prefix, but a candidate only while no larger valid prefix
-displaces it, and the least prefix it holds wins: the winner of a fold
-over the valid candidates in ascending k, whatever order they arrive in.
-Nothing outside the band could have changed that fold, so the result is
-the one that solving and round-tripping every prefix gives, bit for bit
-(optimal_commitment's docstring has both arguments).  A solved draft
-that may be valid and beats its row shows that the table missed its
-maximum, and the search stops pruning.  With no valid candidate there is
-no band: every prefix is solved once, and SolverInvariantError reports
-each one's outcome.  The CASE_2_2 scan and golden-section search still
-give the commitment of each solved prefix.
+spends.  Ties go to the larger support: a valid prefix displaces a
+smaller one whose leader utility it beats or trails by at most TIE_RTOL
+relative (_displaces).  The search keeps the utility of every valid
+prefix, but a candidate only while no larger valid prefix displaces it,
+and the least prefix it holds wins: the winner of a fold over the valid
+candidates in ascending k, whatever order they arrive in.  The prefixes
+are solved by the case solvers, in descending order of score, only while
+the score stays in a band below the utility of the winner so far; each
+solved draft is round-tripped unless its margin rules K out.  A prefix
+below the band can neither displace that winner nor be held next to it,
+so the result is the one that solving and round-tripping every prefix
+gives, bit for bit (optimal_commitment's docstring has both arguments).
+A solved draft that may be valid and beats its row shows that the table
+missed its maximum, and the search stops pruning.  With no valid
+candidate there is no band: every prefix is solved once, and
+SolverInvariantError reports each one's outcome.  The CASE_2_2 scan and
+golden-section search still give the commitment of each solved prefix.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ TRUNCATION_EXTENSIONS = 3
 TIE_RTOL = 1e-9
 # The prefix table's slack: the margin a kept candidate may reach above 1,
 # and how far a solved draft that may be valid may score above its row
-# before optimal_commitment stops pruning.  The band below the best valid
-# utility is twice this plus (n + 2) * TIE_RTOL.
+# before optimal_commitment stops pruning.  The band below the winner's
+# utility is twice this plus 3 * TIE_RTOL.
 _TABLE_RTOL = 1e-6
 _TABLE_BLOCK_ROWS = 1024  # prefixes whose candidates the table holds at a time
 
@@ -847,23 +847,21 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
     _prefix_table scores every prefix: the best leader utility among its
     candidate alphas whose margin q is below 1 + _TABLE_RTOL (the module
     docstring lists the candidates).  Prefixes are solved in descending
-    order of score, and the search stops at the first score below top *
-    keep, with top the best valid utility so far and keep = 1 - 2 *
-    _TABLE_RTOL - (n + 2) * TIE_RTOL (n prefixes).  While no candidate is
-    valid, top is -inf and no row stops the search, the -inf rows
-    included.
+    order of score, and the search stops at the first score below u_w *
+    keep, with w the least held prefix (the winner so far, below), u_w its
+    utility and keep = 1 - 2 * _TABLE_RTOL - 3 * TIE_RTOL.  While no
+    candidate is valid, nothing is held and no row stops the search, the
+    -inf rows included.
 
     The result is, bit for bit, what a fold over every valid candidate in
     ascending k returns when every prefix is solved and round-tripped.
     The fold replaces its best whenever a candidate displaces it: is at
-    most TIE_RTOL * max(|u|, |best|) below it (_displaces).  So it always
-    takes the (first) maximum u_max, and after it each replacement lowers
-    the best by at most TIE_RTOL * u_max: it stays above u_max * (1 - (n -
-    1) * TIE_RTOL).  The search runs no fold.  It keeps utility[k] for
-    each valid prefix k, and holds the valid candidates that no larger
-    valid prefix displaces: a valid candidate that arrives drops every
-    held smaller prefix it displaces, and is held only if no larger prefix
-    in utility displaces it.  The least held prefix is the fold's winner w:
+    most TIE_RTOL * max(|u|, |best|) below it (_displaces).  The search
+    runs no fold.  It keeps utility[k] for each valid prefix k, and holds
+    the valid candidates that no larger valid prefix displaces: a valid
+    candidate that arrives drops every held smaller prefix it displaces,
+    and is held only if no larger prefix in utility displaces it.  Over
+    every valid prefix, the least held prefix is the fold's winner w:
     * The fold never moves off w, so no later prefix displaces w, and w is
       held.
     * No smaller prefix k is held.  If the fold took k, it would have
@@ -871,7 +869,8 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
       skipped k, k was more than TIE_RTOL below the best b of the time,
       and the first prefix the fold took after k came within TIE_RTOL of
       b, so it has at least k's utility and displaces k.
-    A prefix left unsolved cannot change the fold:
+    A prefix left unsolved cannot change the least held prefix w at the
+    row that stops the search:
     * Its solver maximizes u_hat over the feasible set whose maximum the
       table's candidates contain.  So the draft sits at the row's best
       candidate, with a score within _TABLE_RTOL of the row's, or below
@@ -879,10 +878,11 @@ def optimal_commitment(instance: GameInstance) -> CommitmentSolution:
       where K is not the reply support and the draft is never valid.
     * A valid round trip gives the score to within TIE_RTOL * u (the score
       is u in exact arithmetic), so u <= s * (1 + _TABLE_RTOL) * (1 +
-      TIE_RTOL) for a row score s < top * keep, which is below u_max * (1
-      - (n + 1) * TIE_RTOL) (utilities are not negative).  The fold would
-      never have taken it after u_max, and what it took before u_max does
-      not matter.
+      TIE_RTOL) for a row score s < u_w * keep, which is below u_w * (1 -
+      TIE_RTOL) (utilities are not negative).  Every row left scores at
+      most s.  Such a prefix j > w does not displace w, and w displaces
+      such a prefix j < w, so w is still the least held prefix once every
+      valid prefix is in.
     * A draft whose margin is finite and above 1 + TIE_RTOL is not
       round-tripped.  A member of K then gets a negative fill at K's water
       level, so K is not the reply support, and the round trip, whose
@@ -918,7 +918,7 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     game = quotient.game
     ends = np.cumsum(np.bincount(quotient.labels)).tolist()
     scores = _prefix_table(game)
-    keep = 1 - 2 * _TABLE_RTOL - (game.n + 2) * TIE_RTOL
+    keep = 1 - 2 * _TABLE_RTOL - 3 * TIE_RTOL
     # the leader utility of each valid prefix, and the valid candidates that
     # no larger valid prefix displaces: the winner is the least held prefix
     utility: dict[int, float] = {}
@@ -929,7 +929,7 @@ def _commitment(instance: GameInstance) -> CommitmentSolution | str:
     prune = True
     for k in (np.argsort(-scores, kind="stable") + 1).tolist():
         score = float(scores[k - 1])
-        if prune and score < max(utility.values(), default=-math.inf) * keep:
+        if prune and held and score < utility[min(held)] * keep:
             break
         draft, reason = _prefix_draft(game, k)
         # a draft that may be valid beats its row: the table missed its maximum

@@ -621,6 +621,19 @@ class TestInputErrors:
         assert "malformed JSON" in err
         assert f"{path}:2:" in err  # line number of the syntax error
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000],
+        ids=["not-utf-8", "nested-100000-deep"],
+    )
+    def test_unreadable_json_exits_2_without_a_traceback(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve-nash", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve-nash", "--instance", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -32,6 +32,7 @@ from blotto.commitment import (
     TIE_RTOL,
     TRUNCATION_FACTOR,
     TRUNCATION_GROWTH,
+    _TABLE_RTOL,
     CaseCoefficients,
     _golden_max,
     _prefix_candidate,
@@ -839,6 +840,10 @@ class TestPrefixBounds:
             yield tied_instance(int(rng.integers(2, 25)), seed, float(rng.choice([0.5, 2.0, 20.0])))
         for seed in range(60):
             yield extreme_instance(seed, 6 if seed % 2 else 12)
+        # blotto gen draws whose band, measured from the held winner, is
+        # narrower than one that widened with n
+        for n, seed in [(512, 0), (512, 4), (512, 9), (2048, 7)]:
+            yield random_instance(np.random.default_rng(seed), n)
 
     def test_pruned_search_equals_the_full_enumeration(self):
         with np.errstate(all="ignore"):
@@ -876,6 +881,14 @@ class TestPrefixBounds:
         solved = self.solves(random_instance(np.random.default_rng(0), n))[1]
         assert len(solved) == len(set(solved)) <= 2
         assert all(1 < k < n for k in solved)
+
+    def test_gen_8192_solves_at_most_100_prefixes(self, monkeypatch):
+        # blotto gen --n 8192 --seed 0 solves 84 prefixes.  A band that
+        # widened with n, by (n + 2) * TIE_RTOL, solved 144.
+        calls, real = [], commitment._prefix_draft
+        monkeypatch.setattr(commitment, "_prefix_draft", lambda game, k: calls.append(k) or real(game, k))
+        optimal_commitment(random_instance(np.random.default_rng(0), 8192))
+        assert len(calls) <= 100
 
     def test_log_uniform_draws_solve_each_prefix_at_most_once(self):
         # 20 of these draws (seeds 0, 1, 5, 8, 12, ...) have a solved draft
@@ -998,15 +1011,17 @@ class TestHeldCandidates:
     GAME = random_instance(np.random.default_rng(0), 6)  # blotto gen --n 6 --seed 0
 
     @classmethod
-    def search(cls, monkeypatch, utility, order):
+    def search(cls, monkeypatch, utility, order, scores=None):
         """optimal_commitment on GAME with synthetic rows: the prefixes are
         solved in the given order (the rest after it), prefix k is valid
         with leader utility utility[k] when it has one, and infeasible
-        otherwise.  Returns the solution and the solve order."""
+        otherwise.  The rows score far above every utility unless scores
+        gives them.  Returns the solution and the solve order."""
         n, budget = cls.GAME.n, cls.GAME.budget_a
         order = [*order, *(k for k in range(1, n + 1) if k not in order)]
-        scores = np.empty(n)
-        scores[np.array(order) - 1] = np.arange(n, 0, -1) * 10.0  # far above every utility
+        if scores is None:
+            scores = np.empty(n)
+            scores[np.array(order) - 1] = np.arange(n, 0, -1) * 10.0
         amounts = np.full(n, budget / n)
         solved = []
 
@@ -1052,6 +1067,20 @@ class TestHeldCandidates:
         # 3 wins.
         utility = {2: 1.0, 3: 1.0 + 2 * TIE_RTOL, 5: 1.0 - 0.5 * TIE_RTOL}
         assert self.check(monkeypatch, utility, itertools.permutations(utility)) == 3
+
+    def test_the_band_is_measured_from_the_held_winner(self, monkeypatch):
+        # Each row scores its utility.  The fold drifts 2.7 * TIE_RTOL down
+        # to 4, and 5 displaces 4, so 5 is solved.  6 is below 5 by more
+        # than the band but within 2 * _TABLE_RTOL + (n + 2) * TIE_RTOL of
+        # the maximum, prefix 1, so a band measured from the maximum would
+        # solve it too.
+        utility = {k: 1.0 - 0.9 * (k - 1) * TIE_RTOL for k in range(1, 5)}
+        utility[5] = utility[4] * (1 - 0.9 * TIE_RTOL)
+        utility[6] = utility[5] * (1 - 2 * _TABLE_RTOL - 4 * TIE_RTOL)
+        scores = np.array([utility[k] for k in range(1, 7)])
+        sol, solved = self.search(monkeypatch, utility, range(1, 7), scores)
+        assert solved == [1, 2, 3, 4, 5]
+        assert len(sol.support) == _ascending_fold(utility) == 5
 
     def test_a_solve_holds_memory_linear_in_n(self):
         # blotto gen --n 4096 --seed 0, warm.  Holding a candidate for every
